@@ -19,7 +19,8 @@ import time
 from .config import bfv0_pairs, load_document, parse_scenario, scenario_digest
 from .engine import (ChargeSeries, build_charge_deg0, build_charge_deg1,
                      cocycle_lift, extend_charge, master_residual)
-from .errors import BfvError, NotFound, ParseError, SchemaError
+from .errors import BfvError, NotFound, ParseError, SchemaError, \
+    ShapeMismatch
 from .generators import Kind, bfv0_table
 from .gpoly import GPoly
 from .grammar import parse as parse_expr
@@ -258,6 +259,9 @@ def main(argv=None) -> int:
         return 3
     except BfvError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # bch takes group-valued scenarios only: any other is a usage error
+        if isinstance(exc, ShapeMismatch) and args.command == "bch":
+            return 2
         return 1
     if args.format == "text":
         print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)

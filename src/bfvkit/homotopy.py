@@ -275,7 +275,7 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
     rep.dim_kernel = len(kernel_vecs)
     img = EchelonSolver()
     for i, v in enumerate(image_vecs):
-        img.add_column(i, v)
+        img.add_column(("img", i), v)
     rep.dim_image = img.rank()
 
     # representatives: kernel vectors reduced modulo the image
@@ -289,16 +289,18 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
                 table, {m: c for m, c in poly.terms.items()
                         if poly.mono_ghost(m) == (0, 0)}))
 
-    # l_2 table on representatives, expressed modulo the image
-    columns = [(("rep", i), r.terms) for i, r in enumerate(rep.representatives)]
-    columns += [(("img", i), v) for i, v in enumerate(image_vecs)]
+    # l_2 table on representatives, expressed modulo the image.  The
+    # representatives are residuals, independent modulo the image, so
+    # adding them to the image solver makes their coefficients unique.
+    for i, r in enumerate(rep.representatives):
+        img.add_column(("rep", i), r.terms)
     for i, ri in enumerate(rep.representatives):
         for j, rj in enumerate(rep.representatives):
             val = tower.ell2(ri, rj)
             if not val:
                 rep.table[(i, j)] = {}
                 continue
-            sol = solve_columns(columns, val.terms)
+            sol = img.solve(val.terms)
             if sol is None:
                 rep.closure_ok = False
                 rep.inconclusive.append((i, j))

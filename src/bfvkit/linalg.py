@@ -1,99 +1,121 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors are dicts mapping hashable keys (monomials) to nonzero Fractions.
-The solver keeps an incremental echelon basis with combination tracking so
-that solutions are expressed in the original column tags.  Pivot keys are
-chosen in sorted order, which makes solutions canonical for a fixed column
-order.
+Vectors are dicts mapping hashable keys (monomials) to nonzero rationals
+(Fractions or ints).  The solver keeps an incremental echelon basis with
+combination tracking so that solutions are expressed in the original column
+tags.  Pivot keys are chosen in sorted order, which makes solutions
+canonical for a fixed column order.
+
+Elimination runs on integer rows (fraction-free, after Bareiss, Math.
+Comp. 1968).  An incoming column or target is scaled once by the common
+denominator of its entries.  Stored pivot rows, with their tag combinations,
+are primitive integer vectors with a positive pivot entry, and each step is
+``vec <- (p/g) vec - (c/g) row`` with ``g = gcd(p, c)``.  A reduced vector
+carries one positive integer scale, so it is an exact multiple of the vector
+that elimination over Fractions would produce, with the same support at
+every step.  Division back to Fractions happens only where results leave the
+solver: in ``solve``, in ``residual`` and when appending to ``kernel``.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm
 
 
-def vec_add(u: dict, v: dict, scale=1) -> dict:
-    out = dict(u)
-    for k, c in v.items():
-        w = out.get(k, 0) + scale * c
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
-    return out
-
-
-def vec_scale(u: dict, scale) -> dict:
-    if not scale:
-        return {}
-    return {k: c * scale for k, c in u.items()}
+def _to_integers(vec: dict):
+    """(integer vector, scale) with integer vector = scale * vec, zeros dropped."""
+    scale = lcm(*(v.denominator for v in vec.values()))
+    return {k: v.numerator * (scale // v.denominator)
+            for k, v in vec.items() if v}, scale
 
 
 class EchelonSolver:
     """Incremental echelon form with combination tracking."""
 
     def __init__(self):
-        # pivot key -> (vector normalized to 1 at pivot, combo over tags)
+        # pivot key -> (primitive integer row with positive pivot entry,
+        #               its combination over tags, scaled alike)
         self.pivots = {}
         self.kernel = []  # combos over tags that map to zero
 
-    def _reduce(self, vec: dict, combo: dict):
-        # stored pivot vectors have their pivot as minimal key, so keys are
+    def _reduce(self, vec: dict, combo: dict, scale: int):
+        """Eliminate pivot keys from the integer pair (vec, combo) in place.
+
+        Returns the scale that the pair carries afterwards.
+        """
+        # stored pivot rows have their pivot as minimal key, so keys are
         # eliminated in increasing order and never reappear once processed
-        vec = {k: v for k, v in vec.items() if v}
-        combo = dict(combo)
-        heap = [k for k in vec if k in self.pivots]
+        pivots = self.pivots
+        heap = [k for k in vec if k in pivots]
         heapq.heapify(heap)
         queued = set(heap)
         while heap:
             k = heapq.heappop(heap)
-            queued.discard(k)
-            coef = vec.get(k)
-            if not coef or k not in self.pivots:
+            c = vec.get(k)
+            if not c:
                 continue
-            pvec, pcombo = self.pivots[k]
-            for kk, vv in pvec.items():
-                w = vec.get(kk, 0) - coef * vv
+            row, crow = pivots[k]
+            p = row[k]
+            g = gcd(p, c)
+            if p != g:
+                m = p // g
+                scale *= m
+                for kk in vec:
+                    vec[kk] *= m
+                for kk in combo:
+                    combo[kk] *= m
+            f = c // g
+            for kk, vv in row.items():
+                w = vec.get(kk, 0) - f * vv
                 if w:
                     vec[kk] = w
-                    if kk in self.pivots and kk not in queued and kk != k:
+                    if kk in pivots and kk not in queued:
                         heapq.heappush(heap, kk)
                         queued.add(kk)
                 else:
                     vec.pop(kk, None)
-            for kk, vv in pcombo.items():
-                w = combo.get(kk, 0) - coef * vv
+            for kk, vv in crow.items():
+                w = combo.get(kk, 0) - f * vv
                 if w:
                     combo[kk] = w
                 else:
                     combo.pop(kk, None)
-        return vec, combo
+        return scale
 
     def add_column(self, tag, vec: dict):
         """Insert one column; returns True if it enlarged the span."""
-        vec, combo = self._reduce(dict(vec), {tag: Fraction(1)})
+        vec, scale = _to_integers(vec)
+        combo = {tag: scale}
+        scale = self._reduce(vec, combo, scale)
         if not vec:
-            self.kernel.append(combo)
+            self.kernel.append({t: Fraction(c, scale) for t, c in combo.items()})
             return False
-        pivot = sorted(vec)[0]
-        inv = Fraction(1) / vec[pivot]
-        self.pivots[pivot] = (vec_scale(vec, inv), vec_scale(combo, inv))
+        pivot = min(vec)
+        g = gcd(*vec.values(), *combo.values())
+        if vec[pivot] < 0:
+            g = -g
+        self.pivots[pivot] = ({k: v // g for k, v in vec.items()},
+                              {t: c // g for t, c in combo.items()})
         return True
 
     def rank(self) -> int:
         return len(self.pivots)
 
     def residual(self, target: dict) -> dict:
-        vec, _ = self._reduce(dict(target), {})
-        return vec
+        vec, scale = _to_integers(target)
+        scale = self._reduce(vec, {}, scale)
+        return {k: Fraction(v, scale) for k, v in vec.items()}
 
     def solve(self, target: dict):
         """Coefficients over tags with sum(coef * column) = target, or None."""
-        vec, combo = self._reduce(dict(target), {})
+        vec, scale = _to_integers(target)
+        combo = {}
+        scale = self._reduce(vec, combo, scale)
         if vec:
             return None
-        return {t: -c for t, c in combo.items() if c}
+        return {t: Fraction(-c, scale) for t, c in combo.items()}
 
 
 def solve_columns(columns, target: dict):

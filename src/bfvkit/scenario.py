@@ -24,7 +24,7 @@ from .generators import GeneratorTable, Kind, bfv1_table
 from .gpoly import GPoly, bracket
 from .liedata import (BialgebraData, DglaData, LieAlgebraData,
                       ModuleActionData, QuasiBialgebraData)
-from .linalg import BlockEchelon, EchelonSolver, solve_columns
+from .linalg import BlockEchelon, EchelonSolver
 from .reports import ValidationReport
 
 KINDS = ("classical_hamiltonian", "generalized_pair", "dgla", "bialgebra",
@@ -383,10 +383,12 @@ def _gram_inverse(mats):
     gram = [[sum(mats[k][a][b] * mats[l][b][a]
                  for a in range(len(mats[k])) for b in range(len(mats[k])))
              for l in range(n)] for k in range(n)]
-    cols = [(j, {i: gram[i][j] for i in range(n) if gram[i][j]}) for j in range(n)]
+    es = EchelonSolver()
+    for j in range(n):
+        es.add_column(j, {i: gram[i][j] for i in range(n) if gram[i][j]})
     inv = []
     for k in range(n):
-        sol = solve_columns(cols, {k: Fraction(1)})
+        sol = es.solve({k: Fraction(1)})
         if sol is None:
             raise RankDeficient("trace form of the basis matrices is degenerate")
         inv.append([sol.get(j, Fraction(0)) for j in range(n)])

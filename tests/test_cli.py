@@ -1,6 +1,7 @@
 """CLI dispatch, formats, determinism and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +96,15 @@ def test_bch_so3(capsys):
     assert "check.bch.constraint-transport=pass" in out
 
 
+def test_bch_not_group_valued_is_usage_error(capsys):
+    code = main(["bch", "--scenario", "so3-classical", "--format", "machine"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "ShapeMismatch" in captured.err
+    assert "requires a group_valued scenario" in captured.err
+
+
 def test_charge_bfv0(capsys):
     code, out = run_cli(capsys, "charge", "--scenario", "so3-classical",
                         "--bfv0", "--format", "machine")
@@ -157,9 +167,11 @@ def test_machine_output_identical_across_processes(tmp_path):
     import subprocess
     import sys
 
+    src = str(Path(__file__).resolve().parents[1] / "src")
     outs = []
     for seed in ("0", "424242"):
-        env = {"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin:/usr/local/bin"}
+        env = {"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin:/usr/local/bin",
+               "PYTHONPATH": src}
         proc = subprocess.run(
             [sys.executable, "-m", "bfvkit.cli", "extend",
              "--scenario", "aff1-bialgebra", "--kmax", "2",

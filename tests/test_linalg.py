@@ -1,6 +1,11 @@
 """Exact sparse linear algebra over the rationals."""
 
+import heapq
 from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfvkit.linalg import EchelonSolver, kernel_columns, solve_columns
 
@@ -57,3 +62,140 @@ def test_solution_is_exact_rational():
     acc0 = sol.get("a", 0) * Fraction(1, 3) + sol.get("b", 0) * Fraction(1, 7)
     acc1 = sol.get("b", 0)
     assert acc0 == 1 and acc1 == 0
+
+
+# ---------------------------------------------------------------------------
+# oracle tests: sympy rank over QQ and a Fraction-arithmetic reference solver
+
+
+class FractionEchelonSolver:
+    """Reference: elimination over Fractions with pivot rows normalized to 1.
+
+    Same pivot choice (minimal key) and elimination order (increasing key)
+    as ``EchelonSolver``, so every returned rational must be equal.
+    """
+
+    def __init__(self):
+        self.pivots = {}
+        self.kernel = []
+
+    def _reduce(self, vec, combo):
+        vec = {k: v for k, v in vec.items() if v}
+        combo = dict(combo)
+        heap = [k for k in vec if k in self.pivots]
+        heapq.heapify(heap)
+        queued = set(heap)
+        while heap:
+            k = heapq.heappop(heap)
+            queued.discard(k)
+            coef = vec.get(k)
+            if not coef or k not in self.pivots:
+                continue
+            pvec, pcombo = self.pivots[k]
+            for kk, vv in pvec.items():
+                w = vec.get(kk, 0) - coef * vv
+                if w:
+                    vec[kk] = w
+                    if kk in self.pivots and kk not in queued and kk != k:
+                        heapq.heappush(heap, kk)
+                        queued.add(kk)
+                else:
+                    vec.pop(kk, None)
+            for kk, vv in pcombo.items():
+                w = combo.get(kk, 0) - coef * vv
+                if w:
+                    combo[kk] = w
+                else:
+                    combo.pop(kk, None)
+        return vec, combo
+
+    def add_column(self, tag, vec):
+        vec, combo = self._reduce(dict(vec), {tag: Fraction(1)})
+        if not vec:
+            self.kernel.append(combo)
+            return False
+        pivot = sorted(vec)[0]
+        inv = Fraction(1) / vec[pivot]
+        self.pivots[pivot] = ({k: c * inv for k, c in vec.items()},
+                              {k: c * inv for k, c in combo.items()})
+        return True
+
+    def residual(self, target):
+        vec, _ = self._reduce(dict(target), {})
+        return vec
+
+    def solve(self, target):
+        vec, combo = self._reduce(dict(target), {})
+        if vec:
+            return None
+        return {t: -c for t, c in combo.items() if c}
+
+
+ROWS = 6
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)))
+vectors = st.dictionaries(st.integers(0, ROWS - 1), entries, max_size=ROWS)
+
+
+@st.composite
+def systems(draw):
+    """Sparse rational columns with zero entries, parallel and empty columns."""
+    columns = []
+    for tag in range(draw(st.integers(1, 8))):
+        if columns and draw(st.booleans()):
+            _t, base = columns[draw(st.integers(0, len(columns) - 1))]
+            factor = draw(entries)
+            columns.append((tag, {k: factor * v for k, v in base.items()}))
+        else:
+            columns.append((tag, draw(vectors)))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(entries, min_size=len(columns),
+                               max_size=len(columns)))
+        target = combine(columns, dict(enumerate(coeffs)))
+    else:
+        target = draw(vectors)
+    return columns, target
+
+
+def combine(columns, coeffs):
+    lookup = dict(columns)
+    acc = {}
+    for tag, coef in coeffs.items():
+        for k, v in lookup[tag].items():
+            acc[k] = acc.get(k, 0) + coef * v
+    return {k: v for k, v in acc.items() if v}
+
+
+def sympy_rank(vecs):
+    if not vecs:
+        return 0
+    return sympy.Matrix([[sympy.Rational(v.get(k, 0).numerator,
+                                         v.get(k, 0).denominator)
+                          for v in vecs] for k in range(ROWS)]).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_echelon_matches_oracles(system):
+    columns, target = system
+    es, ref = EchelonSolver(), FractionEchelonSolver()
+    for tag, vec in columns:
+        assert es.add_column(tag, vec) == ref.add_column(tag, vec)
+    vecs = [vec for _tag, vec in columns]
+    rank = sympy_rank(vecs)
+    assert es.rank() == rank
+    assert len(es.kernel) == len(columns) - rank
+    for combo in es.kernel:
+        assert all(isinstance(c, Fraction) for c in combo.values())
+        assert combine(columns, combo) == {}
+    assert es.kernel == ref.kernel
+
+    sol = es.solve(target)
+    consistent = sympy_rank(vecs + [target]) == rank
+    assert (sol is not None) == consistent
+    if sol is not None:
+        assert combine(columns, sol) == {k: v for k, v in target.items() if v}
+    assert sol == ref.solve(target)
+    assert es.residual(target) == ref.residual(target)
