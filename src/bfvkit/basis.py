@@ -43,9 +43,12 @@ def enumerate_monomials(table: GeneratorTable, fdeg: int, ghost: int,
     base = [g for g in gens if g.kind == Kind.BASE]
     rest = [g for g in gens if g.kind != Kind.BASE]
 
-    # Bounds for pruning: how much function degree the tail can still add.
+    # Bounds for pruning: how much function degree, ghost and antighost
+    # number the tail can still add.
     neg = [0] * (len(rest) + 1)
     pos = [0] * (len(rest) + 1)
+    gh_max = [0] * (len(rest) + 1)
+    ag_max = [0] * (len(rest) + 1)
     for idx in range(len(rest) - 1, -1, -1):
         g = rest[idx]
         cap = 1 if g.parity else max(ghost, antighost, 0)
@@ -53,6 +56,8 @@ def enumerate_monomials(table: GeneratorTable, fdeg: int, ghost: int,
         hi = max(0, g.degree * cap)
         neg[idx] = neg[idx + 1] + lo
         pos[idx] = pos[idx + 1] + hi
+        gh_max[idx] = gh_max[idx + 1] + g.ghost * cap
+        ag_max[idx] = ag_max[idx + 1] + g.antighost * cap
 
     results = []
     chosen = []
@@ -65,6 +70,8 @@ def enumerate_monomials(table: GeneratorTable, fdeg: int, ghost: int,
                 results.append(list(chosen))
             return
         if deg + neg[idx] > fdeg or deg + pos[idx] < fdeg:
+            return
+        if gh + gh_max[idx] < ghost or ag + ag_max[idx] < antighost:
             return
         g = rest[idx]
         cap = 1 if g.parity else max(ghost - gh, antighost - ag, 0)

@@ -7,7 +7,7 @@ is byte-identical across runs; text format adds no wall-clock data to
 stdout either (timing goes to stderr).
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or parse error,
-3 a bounded solve was inconclusive (NotFound / MembershipUndecided).
+3 a bounded solve was inconclusive (NotFound).
 """
 
 from __future__ import annotations

@@ -8,7 +8,14 @@ whose bracket-square vanishes exactly whenever the Lie data validators and
 the equivariance checks pass.  The inner derivation {Q, .} splits on
 (ghost, antighost)-bihomogeneous elements into the antighost-lowering
 Koszul part delta_V and the ghost-raising Chevalley-Eilenberg part
-delta_H.
+delta_H.  A bracket term p * dQ/dz_a|R * dF/dz_b|L shifts the bidegree of
+F by the bidegree of that term of dQ/dz_a minus the bidegree of z_b, so
+delta_V is the (0, -1)-shift part of the pairing derivatives of Q:
+
+    delta_V F = sum_b coef_b * dF/dz_b|L,
+
+with coef_b precomputed once per charge.  Every other term must shift by
+(1, 0), the delta_H direction.
 
 All exactness problems (Koszul preimages, cocycle lifts, extended-charge
 corrections) are solved by bounded linear ansatz over the monomial basis
@@ -26,11 +33,13 @@ from .basis import enumerate_monomials
 from .errors import (LiftNotFound, NotBihomogeneous, NotFound, PresetMismatch,
                      ShapeMismatch)
 from .generators import Kind
-from .gpoly import GPoly, bracket
+from .gpoly import GPoly, bracket, mul_into
 from .linalg import BlockEchelon
 from .scenario import Scenario, assemble_constraints
 
-# Assembled Koszul ansatz systems, reused across solves against one charge.
+# Per charge: the delta_V operator and the assembled Koszul ansatz systems,
+# reused across solves against that charge.
+_koszul_operators = weakref.WeakKeyDictionary()
 _koszul_systems = weakref.WeakKeyDictionary()
 
 
@@ -110,13 +119,54 @@ def split_dH_dV(Q: GPoly, F: GPoly):
     return dH, dV
 
 
+def _koszul_operator(Q: GPoly):
+    """delta_V of the charge Q as (b, coef_b) pairs, cached per charge.
+
+    coef_b collects p * dQ/dz_a|R over the pairings (a, b), restricted to
+    the terms that shift bidegrees by (0, -1).  A term whose shift is
+    neither (0, -1) nor (1, 0) raises NotBihomogeneous.
+    """
+    op = _koszul_operators.get(Q)
+    if op is not None:
+        return op
+    table = Q.table
+    coefs = {}
+    for (a, b), p in table.pairing.items():
+        zb = table.gen(b)
+        for m, c in Q.deriv(a, side="right").terms.items():
+            gh, ag = Q.mono_ghost(m)
+            shift = (gh - zb.ghost, ag - zb.antighost)
+            if shift == (0, -1):
+                terms = coefs.setdefault(b, {})
+                v = terms.get(m, 0) + p * c
+                if v:
+                    terms[m] = v
+                else:
+                    del terms[m]
+            elif shift != (1, 0):
+                raise NotBihomogeneous(
+                    f"{{Q, .}} shifts bidegrees by {shift} through "
+                    f"({table.gen(a).name}, {zb.name})")
+    op = [(b, terms) for b, terms in coefs.items() if terms]
+    _koszul_operators[Q] = op
+    return op
+
+
+def _apply_koszul(op, F: GPoly) -> GPoly:
+    present = F.generator_ids()
+    out = {}
+    for b, coef in op:
+        if b in present:
+            mul_into(out, coef, F.deriv(b, side="left").terms)
+    return GPoly(F.table, out)
+
+
 def delta_v(Q: GPoly, F: GPoly) -> GPoly:
+    """The Koszul part of {Q, F}: its (0, -1)-shift part on every
+    bihomogeneous component of F."""
     if not F:
         return F
-    out = GPoly.zero(F.table)
-    for part in F.bidegree_components().values():
-        out = out + split_dH_dV(Q, part)[1]
-    return out
+    return _apply_koszul(_koszul_operator(Q), F)
 
 
 def delta_h(Q: GPoly, F: GPoly) -> GPoly:
@@ -137,9 +187,10 @@ def _koszul_system(S: Scenario, Q: GPoly, shape, ansatz_degree: int):
     key = (shape, ansatz_degree)
     if key not in per_q:
         fdeg, g, a = shape
+        op = _koszul_operator(Q)
         columns = []
         for mono in enumerate_monomials(S.table, fdeg, g, a, ansatz_degree):
-            img = delta_v(Q, GPoly(S.table, {mono: Fraction(1)}))
+            img = _apply_koszul(op, GPoly(S.table, {mono: Fraction(1)}))
             if img:
                 columns.append((mono, img.terms))
         per_q[key] = BlockEchelon(columns)

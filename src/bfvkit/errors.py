@@ -54,10 +54,6 @@ class NotFound(BfvError):
         self.bound = bound
 
 
-class MembershipUndecided(NotFound):
-    pass
-
-
 class LiftNotFound(NotFound):
     pass
 

@@ -101,6 +101,7 @@ class GeneratorTable:
             raise ValueError("duplicate generator ids")
         # pairing[(a, b)] = value of {z_a, z_b} for conjugate generators.
         self.pairing = dict(pairing)
+        self.odd_ids = frozenset(g.gid for g in self.entries if g.parity)
         for g in self.entries:
             if g.parity != g.degree % 2:
                 raise ValueError(f"parity mismatch for {g.name}")
@@ -115,7 +116,7 @@ class GeneratorTable:
                     )
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, GeneratorTable)
             and self.preset == other.preset
             and self.entries == other.entries
@@ -137,14 +138,8 @@ class GeneratorTable:
         except KeyError:
             raise UnknownGenerator(f"no generator named {name!r}") from None
 
-    def has_name(self, name: str) -> bool:
-        return name in self._by_name
-
     def ids_of_kind(self, kind: Kind) -> tuple:
         return tuple(g.gid for g in self.entries if g.kind == kind)
-
-    def is_odd(self, gid: int) -> bool:
-        return self.gen(gid).parity == 1
 
 
 def _antisym_factor(deg_a: int, deg_b: int, shift: int) -> int:

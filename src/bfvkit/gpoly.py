@@ -68,10 +68,31 @@ def _mono_mul(m1: Monomial, m2: Monomial):
     odds, sign = _merge_odds(m1[1], m2[1])
     if sign == 0:
         return None, 0
+    if not m2[0]:
+        return (m1[0], odds), sign
+    if not m1[0]:
+        return (m2[0], odds), sign
     ev = dict(m1[0])
     for gid, e in m2[0]:
         ev[gid] = ev.get(gid, 0) + e
     return (tuple(sorted(ev.items())), odds), sign
+
+
+def mul_into(out: dict, s_terms: dict, t_terms: dict, scale=1):
+    """Add scale * S * T to the term dict ``out`` in place."""
+    for m1, c1 in s_terms.items():
+        if scale != 1:
+            c1 = c1 * scale
+        for m2, c2 in t_terms.items():
+            m, sign = _mono_mul(m1, m2)
+            if sign == 0:
+                continue
+            v = out.get(m, 0)
+            v = v + c1 * c2 if sign > 0 else v - c1 * c2
+            if v:
+                out[m] = v
+            else:
+                del out[m]
 
 
 class GPoly:
@@ -114,7 +135,7 @@ class GPoly:
     # -- ring structure -----------------------------------------------
 
     def _check(self, other: "GPoly"):
-        if self.table != other.table:
+        if self.table is not other.table and self.table != other.table:
             raise TableMismatch("operands use different generator tables")
 
     def __bool__(self):
@@ -159,16 +180,7 @@ class GPoly:
             return GPoly(self.table, {m: v * c for m, v in self.terms.items()})
         self._check(other)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m, sign = _mono_mul(m1, m2)
-                if sign == 0:
-                    continue
-                v = out.get(m, 0) + sign * c1 * c2
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
+        mul_into(out, self.terms, other.terms)
         return GPoly(self.table, out)
 
     def __rmul__(self, other):
@@ -251,15 +263,16 @@ class GPoly:
     def max_base_degree(self) -> int:
         return max((self.mono_base_degree(m) for m in self.terms), default=0)
 
+    def generator_ids(self) -> set:
+        """Ids of the generators that occur in some term."""
+        ids = set()
+        for evens, odds in self.terms:
+            ids.update(g for g, _ in evens)
+            ids.update(odds)
+        return ids
+
     def kinds_used(self):
-        t = self.table
-        kinds = set()
-        for m in self.terms:
-            for g, _ in m[0]:
-                kinds.add(t.gen(g).kind)
-            for g in m[1]:
-                kinds.add(t.gen(g).kind)
-        return kinds
+        return {self.table.gen(g).kind for g in self.generator_ids()}
 
     # -- calculus -----------------------------------------------------
 
@@ -277,7 +290,7 @@ class GPoly:
     def _deriv(self, gid: int, side: str) -> "GPoly":
         t = self.table
         out = {}
-        if not t.is_odd(gid):
+        if gid not in t.odd_ids:
             for m, c in self.terms.items():
                 ev = dict(m[0])
                 e = ev.get(gid)
@@ -393,19 +406,18 @@ def normalize(table: GeneratorTable, raw) -> GPoly:
 
 def bracket(F: GPoly, G: GPoly) -> GPoly:
     """Graded Poisson bracket generated by the table's pairing."""
-    if F.table != G.table:
-        raise TableMismatch("bracket operands use different generator tables")
     table = F.table
-    out = GPoly.zero(table)
+    if table is not G.table and table != G.table:
+        raise TableMismatch("bracket operands use different generator tables")
+    present = G.generator_ids()
+    out = {}
     for (a, b), p in table.pairing.items():
+        if b not in present:
+            continue
         dF = F.deriv(a, side="right")
-        if not dF:
-            continue
-        dG = G.deriv(b, side="left")
-        if not dG:
-            continue
-        out = out + (dF * dG) * p
-    return out
+        if dF:
+            mul_into(out, dF.terms, G.deriv(b, side="left").terms, p)
+    return GPoly(table, out)
 
 
 def mul(F: GPoly, G: GPoly) -> GPoly:

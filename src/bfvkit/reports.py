@@ -33,9 +33,6 @@ class ValidationReport:
     def record_undecided(self, name: str, detail: str = ""):
         self.checks.append(CheckLine(name, UNDECIDED, detail))
 
-    def merge(self, other: "ValidationReport"):
-        self.checks.extend(other.checks)
-
     @property
     def failures(self):
         return [c for c in self.checks if c.status == FAIL]

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .basis import enumerate_monomials
 from .errors import NotNearIdentity, RankDeficient, ShapeMismatch
-from .generators import GeneratorTable, Kind, bfv1_table
+from .generators import GeneratorTable, Kind
 from .gpoly import GPoly, bracket
 from .liedata import (BialgebraData, DglaData, LieAlgebraData,
                       ModuleActionData, QuasiBialgebraData)
@@ -519,7 +519,3 @@ def bch_transport_check(S: Scenario, order: int) -> ValidationReport:
     rep.record("constraint-transport", ok,
                "" if ok else f"first failing order {first_bad}")
     return rep
-
-
-def scenario_table(kind: str, n: int, dim_g: int, dim_h: int) -> GeneratorTable:
-    return bfv1_table(n, dim_g, dim_h)

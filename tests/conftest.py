@@ -1,11 +1,12 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from bfvkit.config import parse_scenario
 from bfvkit.generators import bfv1_table
 from bfvkit.gpoly import GPoly
-from bfvkit.presets import load_preset
+from bfvkit.presets import PRESET_NAMES, load_preset
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +37,44 @@ def group_valued_so3():
 @pytest.fixture(scope="session")
 def abelian_translation():
     return parse_scenario(load_preset("abelian-translation"))
+
+
+@pytest.fixture(scope="session")
+def engine_requests():
+    """Per preset: the scenario, its charge and the ansatz shapes that the
+    lift and the extension (CLI defaults: bound 4, two steps) pose.
+
+    ``enumerations`` holds (fdeg, ghost, antighost, max_base_degree) for
+    every monomial enumeration, ``koszul_shapes`` the subset posed as
+    Koszul systems (which are cached per charge, so they are recorded where
+    they are requested, not only where they are built).
+    """
+    import bfvkit.engine as engine
+
+    real_enumerate = engine.enumerate_monomials
+    real_system = engine._koszul_system
+    out = {}
+    for name in PRESET_NAMES:
+        S = parse_scenario(load_preset(name))
+        enums, shapes = set(), set()
+
+        def enumerate_monomials(table, *args):
+            enums.add(args)
+            return real_enumerate(table, *args)
+
+        def koszul_system(S, Q, shape, ansatz_degree):
+            shapes.add(shape + (ansatz_degree,))
+            return real_system(S, Q, shape, ansatz_degree)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "enumerate_monomials", enumerate_monomials)
+            mp.setattr(engine, "_koszul_system", koszul_system)
+            Q = engine.build_charge_deg1(S)
+            Pi = engine.cocycle_lift(S, Q, 4)
+            engine.extend_charge(S, Q, Pi, 2, 4)
+        out[name] = SimpleNamespace(S=S, Q=Q, enumerations=sorted(enums | shapes),
+                                    koszul_shapes=sorted(shapes))
+    return out
 
 
 @pytest.fixture

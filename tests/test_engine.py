@@ -384,3 +384,37 @@ def test_master_iff_valid_data_randomized(rng):
         bad.lie.c[(2, 1, 2)] = -bad.lie.c[(1, 2, 2)]
         if not check_equivariance(bad).passed:
             assert master_residual(build_charge_deg1(bad))
+
+
+# -- delta_V operator --------------------------------------------------
+
+
+def test_delta_v_is_koszul_component_of_bracket(engine_requests):
+    # every monomial of every shape that lift and extend enumerate: delta_V
+    # is the (g, a - 1) component of the full bracket with the charge
+    from bfvkit.basis import enumerate_monomials
+
+    checked = 0
+    for name in ("quasi-chi", "group-valued-so3", "aff1-bialgebra"):
+        req = engine_requests[name]
+        table = req.S.table
+        for fdeg, g, a, bound in req.enumerations:
+            for mono in enumerate_monomials(table, fdeg, g, a, bound):
+                m = GPoly(table, {mono: Fraction(1)})
+                full = bracket(req.Q, m).bidegree_components()
+                expected = full.get((g, a - 1), GPoly.zero(table))
+                assert delta_v(req.Q, m) == expected, (name, mono)
+                checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("extra", [
+    "1 * b1",      # d/db1 = 1 pairs with c1: shift (-1, 0)
+    "1 * c1 c2",   # d/dc1 = c2 pairs with b1: shift (1, -1)
+])
+def test_delta_v_malformed_charge(so3_classical, so3_Q, extra):
+    t = so3_classical.table
+    bad = so3_Q + parse(t, extra)
+    with pytest.raises(NotBihomogeneous):
+        delta_v(bad, GPoly.var(t, "b2"))
+    assert delta_v(so3_Q, GPoly.var(t, "b2")) == so3_classical.psi[1]

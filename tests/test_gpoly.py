@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfvkit.errors import TableMismatch, UnknownGenerator
 from bfvkit.generators import bfv0_table, bfv1_table
@@ -274,3 +276,136 @@ def test_canonical_equality_is_identity(small_table, rng):
         F = random_homogeneous(t, rng, rng.randint(0, 3))
         G = random_homogeneous(t, rng, rng.randint(0, 3))
         assert (F == G) == (F.terms == G.terms)
+
+
+# -- bracket oracle ----------------------------------------------------
+#
+# The bracket below is the earlier implementation, kept as the reference:
+# it visits every pairing, differentiates with a per-call parity lookup and
+# rebuilds the output once per pairing.  It shares no code with bfvkit's
+# bracket, product or derivative.
+
+
+def _ref_merge_odds(s, t):
+    merged, sign, i, j = [], 1, 0, 0
+    while i < len(s) and j < len(t):
+        if s[i] == t[j]:
+            return None, 0
+        if s[i] < t[j]:
+            merged.append(s[i])
+            i += 1
+        else:
+            if (len(s) - i) % 2:
+                sign = -sign
+            merged.append(t[j])
+            j += 1
+    merged.extend(s[i:])
+    merged.extend(t[j:])
+    return tuple(merged), sign
+
+
+def _ref_mul(s_terms, t_terms):
+    out = {}
+    for m1, c1 in s_terms.items():
+        for m2, c2 in t_terms.items():
+            odds, sign = _ref_merge_odds(m1[1], m2[1])
+            if sign == 0:
+                continue
+            ev = dict(m1[0])
+            for g, e in m2[0]:
+                ev[g] = ev.get(g, 0) + e
+            m = (tuple(sorted(ev.items())), odds)
+            v = out.get(m, 0) + sign * c1 * c2
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+    return out
+
+
+def _ref_deriv(table, terms, gid, side):
+    out = {}
+    for m, c in terms.items():
+        if table.gen(gid).parity:
+            if gid not in m[1]:
+                continue
+            pos = m[1].index(gid)
+            crossed = pos if side == "left" else len(m[1]) - 1 - pos
+            mono = (m[0], m[1][:pos] + m[1][pos + 1:])
+            c = -c if crossed % 2 else c
+        else:
+            ev = dict(m[0])
+            e = ev.pop(gid, 0)
+            if not e:
+                continue
+            if e > 1:
+                ev[gid] = e - 1
+            mono = (tuple(sorted(ev.items())), m[1])
+            c = c * e
+        v = out.get(mono, 0) + c
+        if v:
+            out[mono] = v
+        else:
+            del out[mono]
+    return out
+
+
+def reference_bracket(F, G):
+    table = F.table
+    out = {}
+    for (a, b), p in table.pairing.items():
+        dF = _ref_deriv(table, F.terms, a, "right")
+        if not dF:
+            continue
+        dG = _ref_deriv(table, G.terms, b, "left")
+        if not dG:
+            continue
+        for m, c in _ref_mul(dF, dG).items():
+            v = out.get(m, 0) + c * p
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+    return GPoly(table, out)
+
+
+ORACLE_TABLES = (bfv1_table(2, 2, 1), bfv1_table(1, 1, 2),
+                 bfv0_table(4, 2, base_pairs=((1, 3), (2, 4))),
+                 bfv0_table(3, 3, base_pairs=((2, 1),)))
+
+
+@st.composite
+def homogeneous_polys(draw, table, count):
+    """``count`` random homogeneous polynomials over ``table``."""
+    gids = [g.gid for g in table.entries]
+    out = []
+    for _ in range(count):
+        raw = draw(st.lists(
+            st.tuples(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                      st.lists(st.sampled_from(gids), max_size=5)),
+            min_size=1, max_size=6))
+        P = normalize(table, raw)
+        comps = {}
+        for m, c in P.terms.items():
+            comps.setdefault(P.mono_degree(m), {})[m] = c
+        if not comps:
+            out.append(P)
+            continue
+        deg = draw(st.sampled_from(sorted(comps)))
+        out.append(GPoly(table, comps[deg]))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bracket_matches_reference_and_axioms(data):
+    t = data.draw(st.sampled_from(ORACLE_TABLES))
+    F, G, H = data.draw(homogeneous_polys(t, 3))
+    assert bracket(F, G) == reference_bracket(F, G)
+    assert bracket(F, G * H) == reference_bracket(F, G * H)
+    if not (F and G and H):
+        return
+    s, f, g = t.shift, F.degree(), G.degree()
+    assert bracket(F, G) == -(-1) ** (((f - s) * (g - s)) % 2) * bracket(G, F)
+    assert bracket(F, G * H) == bracket(F, G) * H \
+        + (-1) ** (((f - s) * g) % 2) * (G * bracket(F, H))
