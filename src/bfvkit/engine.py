@@ -5,17 +5,17 @@ The degree-one charge follows the four-term template
     Q = psi_i c_i + J0_j C_j - 1/2 c^{ij}_k c_i c_j b_k - d^{mn}_p c_m C_n B_p
 
 whose bracket-square vanishes exactly whenever the Lie data validators and
-the equivariance checks pass.  The inner derivation {Q, .} splits on
-(ghost, antighost)-bihomogeneous elements into the antighost-lowering
-Koszul part delta_V and the ghost-raising Chevalley-Eilenberg part
-delta_H.  A bracket term p * dQ/dz_a|R * dF/dz_b|L shifts the bidegree of
-F by the bidegree of that term of dQ/dz_a minus the bidegree of z_b, so
-delta_V is the (0, -1)-shift part of the pairing derivatives of Q:
-
-    delta_V F = sum_b coef_b * dF/dz_b|L,
-
-with coef_b precomputed once per charge.  Every other term must shift by
-(1, 0), the delta_H direction.
+the equivariance checks pass.  Its inner derivation is built once per
+charge, {Q, F} = sum_b coef_b * dF/dz_b|L with coef_b = p * dQ/dz_a|R over
+the pairings (a, b) (:func:`~bfvkit.gpoly.inner_derivation`), and one
+kernel, :func:`~bfvkit.gpoly.apply_derivation`, applies it to the ansatz
+monomials of the cocycle lift and the Koszul systems and to the l_1
+columns of :mod:`bfvkit.homotopy`.  On (ghost, antighost)-bihomogeneous
+elements {Q, .} splits into the antighost-lowering Koszul part delta_V and
+the ghost-raising Chevalley-Eilenberg part delta_H.  A term of coef_b
+shifts the bidegree of F by its own bidegree minus that of z_b, so
+delta_V is the same operator with each coef_b cut to its (0, -1)-shift
+terms.  Every other term must shift by (1, 0), the delta_H direction.
 
 All exactness problems (Koszul preimages, cocycle lifts, extended-charge
 corrections) are solved by bounded linear ansatz over the monomial basis
@@ -33,7 +33,7 @@ from .basis import enumerate_monomials
 from .errors import (LiftNotFound, NotBihomogeneous, NotFound, PresetMismatch,
                      ShapeMismatch)
 from .generators import Kind
-from .gpoly import GPoly, bracket, mul_into
+from .gpoly import GPoly, apply_derivation, bracket, inner_derivation
 from .linalg import BlockEchelon
 from .scenario import Scenario, assemble_constraints
 
@@ -120,45 +120,29 @@ def split_dH_dV(Q: GPoly, F: GPoly):
 
 
 def _koszul_operator(Q: GPoly):
-    """delta_V of the charge Q as (b, coef_b) pairs, cached per charge.
-
-    coef_b collects p * dQ/dz_a|R over the pairings (a, b), restricted to
-    the terms that shift bidegrees by (0, -1).  A term whose shift is
-    neither (0, -1) nor (1, 0) raises NotBihomogeneous.
+    """delta_V of the charge Q as {b: coef_b}, cached per charge: the
+    inner derivation with each coef_b restricted to the terms that shift
+    bidegrees by (0, -1).  A term whose shift is neither (0, -1) nor
+    (1, 0) raises NotBihomogeneous.
     """
     op = _koszul_operators.get(Q)
     if op is not None:
         return op
     table = Q.table
-    coefs = {}
-    for (a, b), p in table.pairing.items():
+    op = {}
+    for b, coef in inner_derivation(Q).items():
         zb = table.gen(b)
-        for m, c in Q.deriv(a, side="right").terms.items():
+        for m, c in coef.items():
             gh, ag = Q.mono_ghost(m)
             shift = (gh - zb.ghost, ag - zb.antighost)
             if shift == (0, -1):
-                terms = coefs.setdefault(b, {})
-                v = terms.get(m, 0) + p * c
-                if v:
-                    terms[m] = v
-                else:
-                    del terms[m]
+                op.setdefault(b, {})[m] = c
             elif shift != (1, 0):
                 raise NotBihomogeneous(
                     f"{{Q, .}} shifts bidegrees by {shift} through "
-                    f"({table.gen(a).name}, {zb.name})")
-    op = [(b, terms) for b, terms in coefs.items() if terms]
+                    f"({table.gen(zb.conjugate).name}, {zb.name})")
     _koszul_operators[Q] = op
     return op
-
-
-def _apply_koszul(op, F: GPoly) -> GPoly:
-    present = F.generator_ids()
-    out = {}
-    for b, coef in op:
-        if b in present:
-            mul_into(out, coef, F.deriv(b, side="left").terms)
-    return GPoly(F.table, out)
 
 
 def delta_v(Q: GPoly, F: GPoly) -> GPoly:
@@ -166,7 +150,7 @@ def delta_v(Q: GPoly, F: GPoly) -> GPoly:
     bihomogeneous component of F."""
     if not F:
         return F
-    return _apply_koszul(_koszul_operator(Q), F)
+    return GPoly(F.table, apply_derivation(_koszul_operator(Q), F.terms))
 
 
 def delta_h(Q: GPoly, F: GPoly) -> GPoly:
@@ -188,12 +172,9 @@ def _koszul_system(S: Scenario, Q: GPoly, shape, ansatz_degree: int):
     if key not in per_q:
         fdeg, g, a = shape
         op = _koszul_operator(Q)
-        columns = []
-        for mono in enumerate_monomials(S.table, fdeg, g, a, ansatz_degree):
-            img = _apply_koszul(op, GPoly(S.table, {mono: Fraction(1)}))
-            if img:
-                columns.append((mono, img.terms))
-        per_q[key] = BlockEchelon(columns)
+        per_q[key] = BlockEchelon(
+            (mono, apply_derivation(op, {mono: 1}))
+            for mono in enumerate_monomials(S.table, fdeg, g, a, ansatz_degree))
     return per_q[key]
 
 
@@ -290,19 +271,21 @@ def cocycle_lift(S: Scenario, Q: GPoly, ansatz_degree: int = 4) -> GPoly:
     # at least one ghost (so the (0,0) component stays pi).  Function
     # degree 2 bounds the ghost number by 2 + dim h; the base-degree
     # bound escalates, so small corrections are found cheaply and only a
-    # failure at the full bound raises.
+    # failure at the full bound raises.  Each column is computed once and
+    # reused at the higher bounds.
     target = -bracket(Q, pi)
+    ad = inner_derivation(Q)
+    images = {}
     sol = None
     for bound in range(ansatz_degree + 1):
         monos = []
         for g in range(1, S.dim_h + 3):
             monos.extend(enumerate_monomials(table, 2, g, g, bound))
-        columns = []
         for mono in monos:
-            img = bracket(Q, GPoly(table, {mono: Fraction(1)}))
-            if img:
-                columns.append((mono, img.terms))
-        sol = BlockEchelon(columns).solve(target.terms)
+            if mono not in images:
+                images[mono] = apply_derivation(ad, {mono: 1})
+        system = BlockEchelon((mono, images[mono]) for mono in monos)
+        sol = system.solve(target.terms)
         if sol is not None:
             break
     if sol is None:

@@ -102,6 +102,14 @@ class GeneratorTable:
         # pairing[(a, b)] = value of {z_a, z_b} for conjugate generators.
         self.pairing = dict(pairing)
         self.odd_ids = frozenset(g.gid for g in self.entries if g.parity)
+        self.base_ids = frozenset(self.ids_of_kind(Kind.BASE))
+        self.lagrangian_ids = frozenset(
+            g.gid for g in self.entries if g.kind in LAGRANGIAN_KINDS)
+        # gradings indexed by gid (0 where no generator has that id)
+        slots = [self._by_id.get(i) for i in range(max(self._by_id, default=-1) + 1)]
+        self.degrees = tuple(g.degree if g else 0 for g in slots)
+        self.ghosts = tuple(g.ghost if g else 0 for g in slots)
+        self.antighosts = tuple(g.antighost if g else 0 for g in slots)
         for g in self.entries:
             if g.parity != g.degree % 2:
                 raise ValueError(f"parity mismatch for {g.name}")

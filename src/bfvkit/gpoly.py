@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import TableMismatch, UnknownGenerator
-from .generators import GeneratorTable, Kind
+from .errors import TableMismatch
+from .generators import GeneratorTable
 
 Monomial = tuple  # ((gid, exp), ...), (gid, ...)
 
@@ -191,27 +191,17 @@ class GPoly:
     # -- grading ------------------------------------------------------
 
     def mono_degree(self, m: Monomial) -> int:
-        t = self.table
-        deg = sum(t.gen(g).degree * e for g, e in m[0])
-        deg += sum(t.gen(g).degree for g in m[1])
-        return deg
+        deg = self.table.degrees
+        return sum(deg[g] * e for g, e in m[0]) + sum(deg[g] for g in m[1])
 
     def mono_ghost(self, m: Monomial):
-        t = self.table
-        gh = ag = 0
-        for g, e in m[0]:
-            gen = t.gen(g)
-            gh += gen.ghost * e
-            ag += gen.antighost * e
-        for g in m[1]:
-            gen = t.gen(g)
-            gh += gen.ghost
-            ag += gen.antighost
-        return gh, ag
+        gh, ag = self.table.ghosts, self.table.antighosts
+        return (sum(gh[g] * e for g, e in m[0]) + sum(gh[g] for g in m[1]),
+                sum(ag[g] * e for g, e in m[0]) + sum(ag[g] for g in m[1]))
 
     def mono_base_degree(self, m: Monomial) -> int:
-        t = self.table
-        return sum(e for g, e in m[0] if t.gen(g).kind == Kind.BASE)
+        base = self.table.base_ids
+        return sum(e for g, e in m[0] if g in base)
 
     def degree_support(self):
         return sorted({self.mono_degree(m) for m in self.terms})
@@ -418,6 +408,55 @@ def bracket(F: GPoly, G: GPoly) -> GPoly:
         if dF:
             mul_into(out, dF.terms, G.deriv(b, side="left").terms, p)
     return GPoly(table, out)
+
+
+def inner_derivation(F: GPoly) -> dict:
+    """{F, .} as {b: coef_b}, coef_b = sum over pairings (a, b) of
+    p * dF/dz_a|R, so that {F, G} = sum_b coef_b * dG/dz_b|L."""
+    ops = {}
+    for (a, b), p in F.table.pairing.items():
+        coef = ops.setdefault(b, {})
+        for m, c in F.deriv(a, side="right").terms.items():
+            v = coef.get(m, 0) + p * c
+            if v:
+                coef[m] = v
+            else:
+                del coef[m]
+    return {b: coef for b, coef in ops.items() if coef}
+
+
+def apply_derivation(op: dict, terms: dict) -> dict:
+    """Terms of sum_b coef_b * dF/dz_b|L for F with the given terms.
+
+    The derivative of each monomial is read off its tuples (exponent of an
+    even factor, position sign of an odd one), so no GPoly is built.
+    """
+    out = {}
+    for (evens, odds), c in terms.items():
+        parts = []
+        for i, (b, e) in enumerate(evens):
+            if b in op:
+                rest = evens[:i] + ((b, e - 1),) if e > 1 else evens[:i]
+                parts.append((op[b], (rest + evens[i + 1:], odds), c * e))
+        for pos, b in enumerate(odds):
+            if b in op:
+                parts.append((op[b], (evens, odds[:pos] + odds[pos + 1:]),
+                              -c if pos % 2 else c))
+        for coef, dm, k in parts:
+            for mc, cc in coef.items():
+                m, sign = _mono_mul(mc, dm)
+                if not sign:
+                    continue
+                f = k if sign > 0 else -k
+                w = cc if f == 1 else cc * f
+                v = out.get(m)
+                if v is None:
+                    out[m] = w
+                elif (v := v + w):
+                    out[m] = v
+                else:
+                    del out[m]
+    return out
 
 
 def mul(F: GPoly, G: GPoly) -> GPoly:

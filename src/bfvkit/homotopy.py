@@ -18,35 +18,43 @@ the right-derivative bracket convention of :mod:`bfvkit.gpoly` the raw
 nested bracket yields the opposite sign; the normalization restores the
 classical limit and leaves every coherence identity unchanged (the 2-ary
 bracket enters the homotopy Jacobi identity quadratically).
+
+l_1 has one code path: the inner derivation of Q, built once per tower
+(:func:`~bfvkit.gpoly.inner_derivation`), applied monomial by monomial by
+:func:`~bfvkit.gpoly.apply_derivation`, the kernel that also builds the
+ansatz columns of :mod:`bfvkit.engine`.  The probe and class comparisons
+take their {Q, m} columns from it directly.  Every l_k value is checked to
+lie in K; one that leaves it raises InternalSignError.
 """
 
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 
 from .errors import InternalSignError, NotInLagrangian, TruncationWarning
-from .generators import LAGRANGIAN_KINDS, Kind
-from .gpoly import GPoly, Monomial, bracket
-from .linalg import EchelonSolver, UnionFind, solve_columns
+from .generators import Kind
+from .gpoly import GPoly, apply_derivation, bracket, inner_derivation
+from .linalg import EchelonSolver, connected_blocks, solve_columns
 
 
 def restrict_check(F: GPoly) -> GPoly:
     """Verify F lies in the Lagrangian alphabet; identity on values."""
-    table = F.table
-    for m in F.terms:
-        for gid, _e in m[0]:
-            if table.gen(gid).kind not in LAGRANGIAN_KINDS:
-                raise NotInLagrangian(table.gen(gid).name)
-        for gid in m[1]:
-            if table.gen(gid).kind not in LAGRANGIAN_KINDS:
-                raise NotInLagrangian(table.gen(gid).name)
+    ids = F.table.lagrangian_ids
+    for evens, odds in F.terms:
+        for gid in [g for g, _e in evens] + list(odds):
+            if gid not in ids:
+                raise NotInLagrangian(F.table.gen(gid).name)
     return F
 
 
-def _parity(F: GPoly) -> int:
-    deg = F.degree()
-    return 0 if deg is None else deg % 2
+def _checked(val: GPoly) -> GPoly:
+    """An l_k value, which must lie in the Lagrangian algebra."""
+    try:
+        return restrict_check(val)
+    except NotInLagrangian as exc:
+        raise InternalSignError(
+            f"derived bracket left the Lagrangian algebra at {exc.token}"
+        ) from exc
 
 
 class BracketTower:
@@ -55,6 +63,12 @@ class BracketTower:
     def __init__(self, series):
         self.series = series
         self.table = series.Q.table
+        self.ad_q = inner_derivation(series.Q)
+
+    def l1_image(self, terms: dict) -> GPoly:
+        """l_1 of the Lagrangian polynomial with these terms: ad_Q applied
+        by the monomial kernel, the value checked like every l_k value."""
+        return _checked(GPoly(self.table, apply_derivation(self.ad_q, terms)))
 
     def _homogeneous_args(self, args):
         """Split inhomogeneous arguments into homogeneous components."""
@@ -91,23 +105,17 @@ class BracketTower:
 
     def _ell_homogeneous(self, k, args):
         if k == 1:
-            val = bracket(self.series.Q, args[0])
-        else:
-            val = self.series.term(k - 2)
-            for a in args:
-                val = bracket(val, a)
-            eps = sum((k - i) * _parity(a) for i, a in enumerate(args, start=1))
-            if eps % 2:
-                val = -val
-            if k == 2:
-                # classical-limit normalization, see module docstring
-                val = -val
-        try:
-            return restrict_check(val)
-        except NotInLagrangian as exc:
-            raise InternalSignError(
-                f"derived bracket left the Lagrangian algebra at {exc.token}"
-            ) from exc
+            return self.l1_image(args[0].terms)
+        val = self.series.term(k - 2)
+        for a in args:
+            val = bracket(val, a)
+        eps = sum((k - i) * a.parity() for i, a in enumerate(args, start=1))
+        if eps % 2:
+            val = -val
+        if k == 2:
+            # classical-limit normalization, see module docstring
+            val = -val
+        return _checked(val)
 
     def ell1(self, f):
         return self.ell(1, [f])
@@ -132,7 +140,7 @@ def homotopy_jacobi_residual(tower: BracketTower, f, g, h) -> GPoly:
         restrict_check(a)
         if not a.is_homogeneous():
             raise ValueError("arguments must be degree-homogeneous")
-    pf, pg, ph = _parity(f), _parity(g), _parity(h)
+    pf, pg, ph = f.parity(), g.parity(), h.parity()
     lhs = GPoly.zero(tower.table)
     for (a, b, c), (pa, pc) in (((f, g, h), (pf, ph)),
                                 ((g, h, f), (pg, pf)),
@@ -216,61 +224,40 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
     domm = lagrangian_monomials(table, -1, degree_bound)
     rep.dim_space = len(dom0)
 
-    def as_poly(m):
-        return GPoly(table, {m: Fraction(1)})
-
-    d0 = {m: tower.ell1(as_poly(m)) for m in dom0}
-    dm = {m: tower.ell1(as_poly(m)) for m in domm}
-
+    # columns: ghost 0 monomials (indices below n0), then ghost -1 monomials
+    n0 = len(dom0)
+    cols = [tower.l1_image({m: 1}).terms for m in dom0 + domm]
     low = set(dom0)
 
-    # independent blocks: connect domain monomials through shared image
-    # monomials, and monomials co-occurring in one image generator
-    uf = UnionFind()
-    for m in dom0:
-        uf.find(("d", m))
-        for key in d0[m].terms:
-            uf.union(("d", m), ("k", key))
-    for m in domm:
-        uf.find(("i", m))
-        for key in dm[m].terms:
-            uf.union(("i", m), ("dm", key))
-            if key in low:
-                uf.union(("i", m), ("d", key))
-    blocks = {}
-    for m in dom0:
-        blocks.setdefault(uf.find(("d", m)), [[], []])[0].append(m)
-    for m in domm:
-        root = uf.find(("i", m))
-        if root in blocks:
-            blocks[root][1].append(m)
-
+    # independent blocks: columns that share a key; a ghost 0 column's keys
+    # are its image and its own monomial, so a ghost -1 column joins the
+    # ghost 0 monomials in its image
+    supports = [list(cols[i]) + [m] for i, m in enumerate(dom0)] + cols[n0:]
     kernel_vecs = []
     image_vecs = []
-    for root, (dmonos, imonos) in sorted(blocks.items(), key=lambda kv: kv[1][0][0]):
+    for block in connected_blocks(supports):
+        dcols = [i for i in block if i < n0]
+        icols = [i for i in block if i >= n0]
+        if not dcols:
+            continue
         es = EchelonSolver()
-        for m in dmonos:
-            es.add_column(m, d0[m].terms)
+        for i in dcols:
+            es.add_column(dom0[i], cols[i])
         kernel_vecs.extend(es.kernel)
-        if imonos:
+        if icols:
             # split image vectors into in-span and out-of-span parts; the
             # image inside the span is generated by combinations whose
             # out-of-span part vanishes
             hi = EchelonSolver()
-            for m in imonos:
-                out_part = {k: v for k, v in dm[m].terms.items() if k not in low}
-                hi.add_column(m, out_part)
+            for i in icols:
+                hi.add_column(i, {k: v for k, v in cols[i].items() if k not in low})
             for combo in hi.kernel:
                 vec = {}
-                for m, coef in combo.items():
-                    for k, v in dm[m].terms.items():
-                        w = vec.get(k, 0) + coef * v
-                        if w:
-                            vec[k] = w
-                        else:
-                            vec.pop(k, None)
-                if vec:
-                    image_vecs.append(vec)
+                for i, coef in combo.items():
+                    for k, v in cols[i].items():
+                        vec[k] = vec.get(k, 0) + coef * v
+                if any(vec.values()):
+                    image_vecs.append({k: v for k, v in vec.items() if v})
 
     rep.dim_kernel = len(kernel_vecs)
     img = EchelonSolver()
@@ -320,11 +307,10 @@ def class_equals(scenario, tower: BracketTower, degree_bound: int,
     diff = value - expected
     if not diff:
         return True
-    table = tower.table
     bound = max(degree_bound, diff.max_base_degree())
     columns = []
-    for m in lagrangian_monomials(table, -1, bound):
-        img = tower.ell1(GPoly(table, {m: Fraction(1)}))
+    for m in lagrangian_monomials(tower.table, -1, bound):
+        img = tower.l1_image({m: 1})
         if img:
             columns.append((m, img.terms))
     return solve_columns(columns, diff.terms) is not None

@@ -43,9 +43,6 @@ class LieAlgebraData:
     def C(self, i, j, k) -> Fraction:
         return self.c.get((i, j, k), Fraction(0))
 
-    def bracket_coeffs(self, i, j):
-        return [self.C(i, j, k) for k in range(1, self.dim + 1)]
-
 
 @dataclass
 class ModuleActionData:

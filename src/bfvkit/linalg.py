@@ -138,6 +138,27 @@ def kernel_columns(columns):
     return es.kernel
 
 
+def connected_blocks(supports) -> list:
+    """Indices of the key sets ``supports`` grouped into classes connected
+    through shared keys; each class ascending, classes by first index."""
+    parent = list(range(len(supports)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    owner = {}
+    for i, keys in enumerate(supports):
+        for k in keys:
+            a, b = find(owner.setdefault(k, i)), find(i)
+            parent[max(a, b)] = min(a, b)
+    groups = {}
+    for i in range(len(supports)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
 class BlockEchelon:
     """Echelon solver split into independent blocks by support connectivity.
 
@@ -146,23 +167,13 @@ class BlockEchelon:
     """
 
     def __init__(self, columns):
-        uf = UnionFind()
-        key_root = {}
         cols = [(tag, dict(vec)) for tag, vec in columns if vec]
-        for i, (_tag, vec) in enumerate(cols):
-            for k in vec:
-                if k in key_root:
-                    uf.union(key_root[k], i)
-                else:
-                    key_root[k] = i
-        grouped = {}
-        for i, (tag, vec) in enumerate(cols):
-            grouped.setdefault(uf.find(i), []).append((tag, vec))
         self.key_block = {}
         self.blocks = []
-        for root in sorted(grouped):
+        for block in connected_blocks([vec for _tag, vec in cols]):
             es = EchelonSolver()
-            for tag, vec in grouped[root]:
+            for i in block:
+                tag, vec = cols[i]
                 es.add_column(tag, vec)
                 for k in vec:
                     self.key_block[k] = len(self.blocks)
@@ -182,27 +193,3 @@ class BlockEchelon:
                 return None
             out.update(sol)
         return out
-
-
-class UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        parent = self.parent
-        if x not in parent:
-            parent[x] = x
-            return x
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-

@@ -301,10 +301,6 @@ def mat_add(A, B, s=1):
                  for ra, rb in zip(A, B))
 
 
-def mat_scale(A, s):
-    return tuple(tuple(a * s for a in ra) for ra in A)
-
-
 def mat_mul(A, B, order=None):
     dim = len(A)
     out = []

@@ -418,3 +418,32 @@ def test_delta_v_malformed_charge(so3_classical, so3_Q, extra):
     with pytest.raises(NotBihomogeneous):
         delta_v(bad, GPoly.var(t, "b2"))
     assert delta_v(so3_Q, GPoly.var(t, "b2")) == so3_classical.psi[1]
+
+
+def test_lift_escalation_computes_each_column_once(abelian_translation,
+                                                   monkeypatch):
+    # pi = x2^2 e1 e2 fails at base-degree bound 0 and solves at bound 1;
+    # the bound-1 ansatz contains every bound-0 monomial, whose column must
+    # be reused rather than computed again
+    import collections
+
+    import bfvkit.engine as engine
+
+    S = copy.deepcopy(abelian_translation)
+    S.kind = "generalized_pair"
+    S.pi = parse(S.table, "1 * x2^2 e1 e2")
+    Q = build_charge_deg1(S)
+    seen = collections.Counter()
+    real = engine.apply_derivation
+
+    def counting(op, terms):
+        seen.update(terms)
+        return real(op, terms)
+
+    monkeypatch.setattr(engine, "apply_derivation", counting)
+    Pi = cocycle_lift(S, Q, ansatz_degree=4)
+    assert Pi == parse(S.table, "1 * x2^2 e1 e2 - 2 * x2 b1 e1 c1")
+    assert not bracket(Q, Pi)
+    assert seen and max(seen.values()) == 1
+    # the bound-1 ansatz reached: it has monomials of base degree 1
+    assert any(GPoly(S.table, {m: 1}).max_base_degree() == 1 for m in seen)

@@ -3,15 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bfvkit.engine import build_charge_deg1, cocycle_lift, extend_charge
-from bfvkit.errors import NotInLagrangian, TruncationWarning
+from bfvkit.engine import (ChargeSeries, build_charge_deg1, cocycle_lift,
+                           extend_charge)
+from bfvkit.errors import InternalSignError, NotInLagrangian, TruncationWarning
 from bfvkit.generators import Kind, bfv1_table
-from bfvkit.gpoly import GPoly, bracket
+from bfvkit.gpoly import GPoly, apply_derivation, bracket, inner_derivation
 from bfvkit.grammar import parse
-from bfvkit.homotopy import (BracketTower, class_equals, h0_probe,
+from bfvkit.homotopy import (BracketTower, ProbeReport, class_equals, h0_probe,
                              homotopy_jacobi_residual, lagrangian_monomials,
                              restrict_check)
+from bfvkit.linalg import EchelonSolver
 from bfvkit.liedata import preset_lie
 from bfvkit.scenario import Scenario
 
@@ -381,3 +385,196 @@ def test_generalized_pair_with_degree_zero_constraint():
     expected = [parse(t, s) for s in ("1", "1 * x2", "1 * x2^2", "1 * x2^3")]
     assert rep.representatives == expected
     assert all(not v for v in rep.table.values())
+
+
+# -- the l_1 monomial kernel -------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def dgla_tower(dgla_identity):
+    return tower_for(dgla_identity)
+
+
+@pytest.fixture(scope="module")
+def group_tower(group_valued_so3):
+    return tower_for(group_valued_so3)
+
+
+@pytest.mark.parametrize("preset, degree", [
+    ("so3_classical", 3), ("dgla_identity", 2), ("group_valued_so3", 2)])
+def test_kernel_is_bracket_on_probe_spaces(request, preset, degree):
+    S = request.getfixturevalue(preset)
+    Q = build_charge_deg1(S)
+    ad = inner_derivation(Q)
+    checked = 0
+    for total_ghost in (0, -1):
+        for m in lagrangian_monomials(S.table, total_ghost, degree):
+            got = GPoly(S.table, apply_derivation(ad, {m: Fraction(1)}))
+            assert got == bracket(Q, GPoly(S.table, {m: Fraction(1)})), m
+            checked += 1
+    assert checked > 100
+
+
+def _lagrangian_polys(table):
+    monos = [m for tg in (-2, -1, 0, 1, 2)
+             for m in lagrangian_monomials(table, tg, 2)]
+    coefs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    return st.dictionaries(st.sampled_from(monos), coefs, max_size=6).map(
+        lambda terms: GPoly(table, {m: c for m, c in terms.items() if c}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ell1_is_bracket_with_charge(so3_tower, quasi_tower, aff1_tower,
+                                     dgla_tower, group_tower, data):
+    # inhomogeneous inputs too: ell splits them into homogeneous parts
+    tower = data.draw(st.sampled_from(
+        [so3_tower, quasi_tower, aff1_tower, dgla_tower, group_tower]))
+    F = data.draw(_lagrangian_polys(tower.table))
+    assert tower.ell1(F) == bracket(tower.series.Q, F)
+
+
+def _reference_h0_probe(tower, degree_bound):
+    """The probe before the monomial kernel: columns from the full bracket,
+    blocks from a union-find over tuple keys."""
+    table = tower.table
+    Q = tower.series.Q
+    rep = ProbeReport(degree_bound)
+    dom0 = lagrangian_monomials(table, 0, degree_bound)
+    domm = lagrangian_monomials(table, -1, degree_bound)
+    rep.dim_space = len(dom0)
+
+    def image(m):
+        return restrict_check(bracket(Q, GPoly(table, {m: Fraction(1)})))
+
+    d0 = {m: image(m) for m in dom0}
+    dm = {m: image(m) for m in domm}
+    low = set(dom0)
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    for m in dom0:
+        find(("d", m))
+        for key in d0[m].terms:
+            union(("d", m), ("k", key))
+    for m in domm:
+        find(("i", m))
+        for key in dm[m].terms:
+            union(("i", m), ("dm", key))
+            if key in low:
+                union(("i", m), ("d", key))
+    blocks = {}
+    for m in dom0:
+        blocks.setdefault(find(("d", m)), [[], []])[0].append(m)
+    for m in domm:
+        root = find(("i", m))
+        if root in blocks:
+            blocks[root][1].append(m)
+
+    kernel_vecs = []
+    image_vecs = []
+    for _root, (dmonos, imonos) in sorted(blocks.items(),
+                                          key=lambda kv: kv[1][0][0]):
+        es = EchelonSolver()
+        for m in dmonos:
+            es.add_column(m, d0[m].terms)
+        kernel_vecs.extend(es.kernel)
+        if imonos:
+            hi = EchelonSolver()
+            for m in imonos:
+                hi.add_column(m, {k: v for k, v in dm[m].terms.items()
+                                  if k not in low})
+            for combo in hi.kernel:
+                vec = GPoly.zero(table)
+                for m, coef in combo.items():
+                    vec = vec + coef * dm[m]
+                if vec:
+                    image_vecs.append(vec.terms)
+
+    rep.dim_kernel = len(kernel_vecs)
+    img = EchelonSolver()
+    for i, v in enumerate(image_vecs):
+        img.add_column(("img", i), v)
+    rep.dim_image = img.rank()
+    reps = EchelonSolver()
+    for vec in kernel_vecs:
+        resid = img.residual(vec)
+        if resid and reps.add_column(len(rep.representatives), resid):
+            poly = GPoly(table, dict(resid))
+            rep.representatives.append(poly)
+            rep.projections.append(GPoly(
+                table, {m: c for m, c in poly.terms.items()
+                        if poly.mono_ghost(m) == (0, 0)}))
+    for i, r in enumerate(rep.representatives):
+        img.add_column(("rep", i), r.terms)
+    for i, ri in enumerate(rep.representatives):
+        for j, rj in enumerate(rep.representatives):
+            val = tower.ell2(ri, rj)
+            if not val:
+                rep.table[(i, j)] = {}
+                continue
+            sol = img.solve(val.terms)
+            if sol is None:
+                rep.closure_ok = False
+                rep.inconclusive.append((i, j))
+                continue
+            rep.table[(i, j)] = {t[1]: c for t, c in sol.items()
+                                 if t[0] == "rep" and c}
+    return rep
+
+
+@pytest.mark.parametrize("preset, tower_name, degree", [
+    ("so3_classical", "so3_tower", 3),
+    ("dgla_identity", "dgla_tower", 2),
+    ("group_valued_so3", "group_tower", 2),
+    ("abelian_translation", "abelian_tower", 3),
+])
+def test_h0_probe_matches_reference(request, preset, tower_name, degree):
+    S = request.getfixturevalue(preset)
+    tower = request.getfixturevalue(tower_name)
+    got = h0_probe(S, tower, degree)
+    want = _reference_h0_probe(tower, degree)
+    for attr in ("dim_space", "dim_kernel", "dim_image", "representatives",
+                 "projections", "table", "closure_ok", "inconclusive"):
+        assert getattr(got, attr) == getattr(want, attr), attr
+    assert got.dim_h0 > 0
+
+
+def test_restrict_check_names_first_offender(so3_classical):
+    # even factors are scanned before odd ones, each in id order; the ids
+    # run x, e, c, C, b, B
+    t = so3_classical.table
+    for text, token in (("1 * x1 b2 e1 C1", "C1"), ("1 * x1 c1 e2", "e2"),
+                        ("1 * B1 e3 b1", "b1"), ("1 * c2 e1 e3", "e1")):
+        with pytest.raises(NotInLagrangian) as exc:
+            restrict_check(parse(t, text))
+        assert exc.value.token == token, text
+
+
+def test_l1_leaving_lagrangian_raises(so3_classical, so3_tower):
+    # e1 b1 adds b1 to coef_{x1}: l_1 of any x1-dependent element leaves K
+    t = so3_classical.table
+    series = ChargeSeries(Q=so3_tower.series.Q + parse(t, "1 * e1 b1"),
+                          terms=so3_tower.series.terms)
+    bad = BracketTower(series)
+    with pytest.raises(InternalSignError):
+        bad.ell1(parse(t, "1 * x1"))
+    with pytest.raises(InternalSignError):
+        h0_probe(so3_classical, bad, 1)
+    with pytest.raises(InternalSignError):
+        class_equals(so3_classical, bad, 1, parse(t, "1 * x1"), GPoly.zero(t))
+    # inputs outside K are still rejected before l_1 is applied
+    with pytest.raises(NotInLagrangian):
+        so3_tower.ell1(parse(t, "1 * e1"))
+    x2 = parse(t, "1 * x2")
+    assert bad.ell1(x2) == so3_tower.ell1(x2)
