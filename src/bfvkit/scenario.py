@@ -17,14 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .basis import enumerate_monomials
-from .errors import NotNearIdentity, RankDeficient, ShapeMismatch
+from .errors import BfvError, NotNearIdentity, RankDeficient, ShapeMismatch
 from .generators import GeneratorTable, Kind
-from .gpoly import GPoly, bracket
+from .gpoly import GPoly, bracket, mul_into
 from .liedata import (BialgebraData, DglaData, LieAlgebraData,
                       ModuleActionData, QuasiBialgebraData)
-from .linalg import BlockEchelon, EchelonSolver
+from .linalg import EchelonSolver
 from .reports import ValidationReport
 
 KINDS = ("classical_hamiltonian", "generalized_pair", "dgla", "bialgebra",
@@ -188,47 +189,59 @@ def check_equivariance(S: Scenario) -> ValidationReport:
 def ideal_membership(S: Scenario, target: GPoly, bound: int | None = None):
     """Cofactors h_g with target = sum h_g * g over the constraint ideal.
 
-    The cofactors are posed over base/fiber monomials of base degree at
-    most ``bound``.  Returns a list of cofactor GPolys parallel to the
-    generators, or None when the bounded system is inconsistent.
+    The generators are those of ``assemble_constraints(S)``.  Each
+    function-degree component of the target is solved on its own over
+    cofactor monomials in base/fiber generators, escalating the base
+    degree: the columns ``mono * g`` whose monomial has base degree exactly
+    b join one growing solver for b = 0, 1, ..., ``bound``, and the first
+    consistent system answers.  Returns a list of cofactor GPolys parallel
+    to the generators, checked to rebuild the target with base degree at
+    most ``bound``, or None when the system at the full ``bound`` is
+    inconsistent.
     """
     bound = S.degree_bound if bound is None else bound
-    if not target:
-        return [GPoly.zero(S.table) for _ in ConstraintSet(S.psi, S.J0).generators]
-    gens = ConstraintSet(S.psi, S.J0).generators
-    if not target.is_homogeneous():
-        comps = {}
-        for (gh, fd), part in target.grade_components().items():
-            comps.setdefault(fd, GPoly.zero(S.table))
-            comps[fd] = comps[fd] + part
-        totals = None
-        for part in comps.values():
-            cof = ideal_membership(S, part, bound)
-            if cof is None:
-                return None
-            totals = cof if totals is None else [a + b for a, b in zip(totals, cof)]
-        return totals
-    tdeg = target.degree()
-    columns = []
-    for gi, g in enumerate(gens):
-        if not g:
-            continue
-        gdeg = g.degree()
-        want = tdeg - gdeg
-        if want < 0:
-            continue
-        for mono in enumerate_monomials(S.table, want, 0, 0, bound,
-                                        kinds={Kind.BASE, Kind.FIBER}):
-            col = (GPoly(S.table, {mono: Fraction(1)}) * g).terms
-            if col:
-                columns.append(((gi, mono), col))
-    sol = BlockEchelon(columns).solve(target.terms)
-    if sol is None:
-        return None
-    cof = [GPoly.zero(S.table) for _ in gens]
-    for (gi, mono), coef in sol.items():
-        cof[gi] = cof[gi] + GPoly(S.table, {mono: coef})
+    table = S.table
+    gens = assemble_constraints(S).generators
+    parts = {}
+    for m, c in target.terms.items():
+        parts.setdefault(target.mono_degree(m), {})[m] = c
+    cof = [{} for _ in gens]
+    for fdeg, part in parts.items():
+        sol = _escalate_membership(table, gens, fdeg, part, bound)
+        if sol is None:
+            return None
+        for (gi, mono), coef in sol.items():
+            cof[gi][mono] = coef
+    cof = [GPoly(table, h) for h in cof]
+    rebuilt = GPoly.zero(table)
+    for h, g in zip(cof, gens):
+        rebuilt = rebuilt + h * g
+    if rebuilt != target or any(h.max_base_degree() > bound for h in cof):
+        raise BfvError("ideal membership cofactors failed verification")
     return cof
+
+
+def _escalate_membership(table, gens, fdeg, target_terms, bound):
+    """Solution over (generator index, monomial) tags for a target of
+    function degree ``fdeg``, at the least base-degree bound that solves."""
+    degs = [g.degree() if g else None for g in gens]
+    base = table.base_ids
+    es = EchelonSolver()
+    for b in range(bound + 1):
+        for gi, g in enumerate(gens):
+            if degs[gi] is None or degs[gi] > fdeg:
+                continue
+            for mono in enumerate_monomials(table, fdeg - degs[gi], 0, 0, b,
+                                            kinds={Kind.BASE, Kind.FIBER}):
+                if sum(e for gid, e in mono[0] if gid in base) != b:
+                    continue
+                col = (GPoly(table, {mono: Fraction(1)}) * g).terms
+                if col:
+                    es.add_column((gi, mono), col)
+        sol = es.solve(target_terms)
+        if sol is not None:
+            return sol
+    return None
 
 
 def check_compatibility(S: Scenario, bound: int | None = None) -> ValidationReport:
@@ -301,25 +314,29 @@ def mat_add(A, B, s=1):
                  for ra, rb in zip(A, B))
 
 
-def mat_mul(A, B, order=None):
+def mat_mul(A, B, order):
+    """Product of square polynomial matrices truncated at base degree ``order``.
+
+    Base generators are even, so base degrees add exactly: pairs of terms
+    whose degrees sum past ``order`` are never multiplied, and the result
+    equals the full product followed by ``base_truncate(order)``.
+    """
+    table = A[0][0].table
     dim = len(A)
+    ga = [[a.base_grades() for a in row] for row in A]
+    gb = [[b.base_grades() for b in row] for row in B]
     out = []
     for i in range(dim):
         row = []
         for j in range(dim):
-            acc = None
+            acc = {}
             for k in range(dim):
-                term = A[i][k] * B[k][j]
-                acc = term if acc is None else acc + term
-            if order is not None:
-                acc = acc.base_truncate(order)
-            row.append(acc)
+                for (d1, s), (d2, t) in product(ga[i][k].items(), gb[k][j].items()):
+                    if d1 + d2 <= order:
+                        mul_into(acc, s, t)
+            row.append(GPoly(table, acc))
         out.append(tuple(row))
     return tuple(out)
-
-
-def mat_truncate(A, order):
-    return tuple(tuple(a.base_truncate(order) for a in ra) for ra in A)
 
 
 def mat_is_zero(A):
@@ -434,8 +451,7 @@ def group_log_constraints(S: Scenario) -> list:
             if N[i][j].base_component(0):
                 raise NotNearIdentity(
                     f"phi[{i}][{j}] differs from identity at the origin")
-    logphi = mat_log(mat_truncate(N, order), order)
-    fks = [f.base_truncate(order) for f in _pair_with_basis(S, logphi)]
+    fks = _pair_with_basis(S, mat_log(N, order))
 
     base_ids = table.ids_of_kind(Kind.BASE)
     points = S.sample_points or [tuple(Fraction(0) for _ in base_ids)]
@@ -471,7 +487,7 @@ def bch_transport_check(S: Scenario, order: int) -> ValidationReport:
     table = S.table
     dim = len(S.phi)
     mats = [_rational_matrix(m) for m in S.basis_matrices]
-    phi = mat_truncate(tuple(tuple(r) for r in S.phi), order)
+    phi = tuple(tuple(r) for r in S.phi)
     nmat = mat_log(mat_add(phi, mat_identity(table, dim), -1), order)
 
     def const_mat(m):

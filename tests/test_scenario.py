@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from bfvkit.config import parse_scenario
-from bfvkit.errors import NotNearIdentity, RankDeficient, SchemaError
+from bfvkit.errors import (BfvError, NotNearIdentity, RankDeficient,
+                           SchemaError)
 from bfvkit.generators import Kind, bfv1_table
 from bfvkit.gpoly import GPoly, bracket
 from bfvkit.grammar import parse, serialize
@@ -81,6 +82,79 @@ def test_compatibility_so3(so3_classical):
     cof = ideal_membership(so3_classical,
                            bracket(so3_classical.pi, so3_classical.J0[0]), 0)
     assert cof is not None
+
+
+def test_membership_reads_assembled_constraints():
+    # on a freshly parsed group-valued scenario J0 is still empty: the log
+    # constraints exist only once assembled, and membership must use them
+    S = parse_scenario(load_preset("group-valued-so3"))
+    S2 = parse_scenario(load_preset("group-valued-so3"))
+    f1 = assemble_constraints(S2).deg0[0]
+    assert S.J0 == []
+    cof = ideal_membership(S, f1, 2)
+    assert cof is not None
+    gens = assemble_constraints(S).generators
+    rebuilt = GPoly.zero(S.table)
+    for h, g in zip(cof, gens):
+        rebuilt = rebuilt + h * g
+    assert rebuilt == f1
+
+
+def test_membership_verifies_cofactors(so3_classical, monkeypatch):
+    # a solution that drops a coefficient no longer rebuilds the target
+    import bfvkit.scenario as scenario
+
+    real = scenario.EchelonSolver.solve
+
+    def lossy(self, target):
+        sol = real(self, target)
+        if sol:
+            sol.pop(next(iter(sol)))
+        return sol
+
+    monkeypatch.setattr(scenario.EchelonSolver, "solve", lossy)
+    with pytest.raises(BfvError, match="failed verification"):
+        ideal_membership(so3_classical,
+                         bracket(so3_classical.pi, so3_classical.J0[0]), 0)
+
+
+def recorded_columns(monkeypatch):
+    """Tags given to EchelonSolver.add_column from now on, in order."""
+    import bfvkit.linalg as linalg
+
+    seen = []
+    real = linalg.EchelonSolver.add_column
+
+    def recording(self, tag, vec):
+        seen.append(tag)
+        return real(self, tag, vec)
+
+    monkeypatch.setattr(linalg.EchelonSolver, "add_column", recording)
+    return seen
+
+
+def test_compatibility_poses_only_needed_columns(so3_classical, monkeypatch):
+    # every {pi, g} target solves at base degree 0, so at degree_bound 4 no
+    # cofactor monomial of higher base degree is ever posed
+    S = copy.deepcopy(so3_classical)
+    S.degree_bound = 4
+    seen = recorded_columns(monkeypatch)
+    assert check_compatibility(S).passed
+    assert seen
+    assert all(GPoly(S.table, {mono: 1}).max_base_degree() == 0
+               for _gi, mono in seen)
+
+
+def test_undecided_membership_poses_each_column_once(monkeypatch):
+    # the document of the CLI's undecided exit-code test
+    doc = load_preset("abelian-translation")
+    doc["pi"] = "1 * x1^2 x2 e1 e2"
+    doc["degree_bound"] = 0
+    S = parse_scenario(doc)
+    seen = recorded_columns(monkeypatch)
+    rep = check_compatibility(S)
+    assert [c.name for c in rep.undecided] == ["normalizer.psi1"]
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_compatibility_zero_bivector(so3_classical):
