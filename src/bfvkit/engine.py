@@ -272,22 +272,25 @@ def cocycle_lift(S: Scenario, Q: GPoly, ansatz_degree: int = 4) -> GPoly:
     # degree 2 bounds the ghost number by 2 + dim h; the base-degree
     # bound escalates, so small corrections are found cheaply and only a
     # failure at the full bound raises.  Each column is computed once and
-    # reused at the higher bounds.
+    # reused at the higher bounds.  A closed pi is its own lift, and the
+    # empty solution needs no ansatz.
     target = -bracket(Q, pi)
-    ad = inner_derivation(Q)
-    images = {}
-    sol = None
-    for bound in range(ansatz_degree + 1):
-        monos = []
-        for g in range(1, S.dim_h + 3):
-            monos.extend(enumerate_monomials(table, 2, g, g, bound))
-        for mono in monos:
-            if mono not in images:
-                images[mono] = apply_derivation(ad, {mono: 1})
-        system = BlockEchelon((mono, images[mono]) for mono in monos)
-        sol = system.solve(target.terms)
-        if sol is not None:
-            break
+    sol = {}
+    if target:
+        ad = inner_derivation(Q)
+        images = {}
+        sol = None
+        for bound in range(ansatz_degree + 1):
+            monos = []
+            for g in range(1, S.dim_h + 3):
+                monos.extend(enumerate_monomials(table, 2, g, g, bound))
+            for mono in monos:
+                if mono not in images:
+                    images[mono] = apply_derivation(ad, {mono: 1})
+            system = BlockEchelon((mono, images[mono]) for mono in monos)
+            sol = system.solve(target.terms)
+            if sol is not None:
+                break
     if sol is None:
         raise LiftNotFound("no cocycle lift in the bounded ansatz", ansatz_degree)
     Pi = pi + GPoly(table, {m: c for m, c in sol.items() if c})

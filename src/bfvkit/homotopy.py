@@ -30,6 +30,7 @@ lie in K; one that leaves it raises InternalSignError.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 
 from .errors import InternalSignError, NotInLagrangian, TruncationWarning
 from .generators import Kind
@@ -188,6 +189,16 @@ def lagrangian_monomials(table, total_ghost: int, max_base_degree: int):
     return out
 
 
+def _sparse_first(vecs) -> dict:
+    """Integer labels for the keys of ``vecs``, ordered by ``(n, key)`` with
+    n the number of vectors holding the key: min-key pivots on the labels are
+    the keys that fewest columns contain (a static Markowitz count, after
+    Markowitz, Management Sci. 1957), which limits fill-in."""
+    count = Counter(k for vec in vecs for k in vec)
+    return {k: i for i, k in
+            enumerate(sorted(count, key=lambda k: (count[k], k)))}
+
+
 class ProbeReport:
     """Outcome of a bounded-degree H^0 probe."""
 
@@ -240,17 +251,23 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
         icols = [i for i in block if i >= n0]
         if not dcols:
             continue
+        # only kernels are read from these solvers, and kernels do not
+        # depend on the pivots, so keys are relabelled to pivot sparsely
+        lab = _sparse_first([cols[i] for i in dcols])
         es = EchelonSolver()
         for i in dcols:
-            es.add_column(dom0[i], cols[i])
+            es.add_column(dom0[i], {lab[k]: v for k, v in cols[i].items()})
         kernel_vecs.extend(es.kernel)
         if icols:
             # split image vectors into in-span and out-of-span parts; the
             # image inside the span is generated by combinations whose
             # out-of-span part vanishes
+            outs = [{k: v for k, v in cols[i].items() if k not in low}
+                    for i in icols]
+            lab = _sparse_first(outs)
             hi = EchelonSolver()
-            for i in icols:
-                hi.add_column(i, {k: v for k, v in cols[i].items() if k not in low})
+            for i, vec in zip(icols, outs):
+                hi.add_column(i, {lab[k]: v for k, v in vec.items()})
             for combo in hi.kernel:
                 vec = {}
                 for i, coef in combo.items():
@@ -260,6 +277,8 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
                     image_vecs.append({k: v for k, v in vec.items() if v})
 
     rep.dim_kernel = len(kernel_vecs)
+    # min-key pivots: the representatives are residuals, which depend on
+    # the pivot set
     img = EchelonSolver()
     for i, v in enumerate(image_vecs):
         img.add_column(("img", i), v)

@@ -3,8 +3,13 @@
 Vectors are dicts mapping hashable keys (monomials) to nonzero rationals
 (Fractions or ints).  The solver keeps an incremental echelon basis with
 combination tracking so that solutions are expressed in the original column
-tags.  Pivot keys are chosen in sorted order, which makes solutions
-canonical for a fixed column order.
+tags.  The pivot of each new row is its minimal key.  ``kernel`` and
+``solve`` are canonical for a fixed column order under any pivot choice: a
+dependent column yields the unique combination over the earlier independent
+columns, and a solution is the unique one over the independent columns.  So
+a caller that reads only those may relabel its keys to steer the pivots.
+``residual`` is the unique vector of ``target + span`` that vanishes on the
+pivot set, so it is canonical for the min-key pivots.
 
 Elimination runs on integer rows (fraction-free, after Bareiss, Math.
 Comp. 1968).  An incoming column or target is scaled once by the common
@@ -128,14 +133,6 @@ def solve_columns(columns, target: dict):
     for tag, vec in columns:
         es.add_column(tag, vec)
     return es.solve(target)
-
-
-def kernel_columns(columns):
-    """Basis of combinations of columns summing to zero."""
-    es = EchelonSolver()
-    for tag, vec in columns:
-        es.add_column(tag, vec)
-    return es.kernel
 
 
 def connected_blocks(supports) -> list:

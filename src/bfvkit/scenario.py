@@ -343,46 +343,44 @@ def mat_is_zero(A):
     return all(not a for ra in A for a in ra)
 
 
-def mat_log(N, order):
-    """log(I + N) = N - N^2/2 + ... truncated at base degree ``order``.
+def mat_powers(N, order):
+    """[I, N, N^2, ..., N^order] truncated at base degree ``order``; the
+    powers after the first zero one are that zero matrix."""
+    powers = [mat_identity(N[0][0].table, len(N))]
+    for _ in range(order):
+        last = powers[-1]
+        powers.append(last if mat_is_zero(last) else mat_mul(last, N, order))
+    return powers
+
+
+def mat_log(powers):
+    """log(I + N) = N - N^2/2 + ... from ``mat_powers(N, order)``.
 
     Requires every entry of N to vanish at the origin, so the series
     terminates at order ``order``.
     """
-    table = N[0][0].table
-    dim = len(N)
+    table = powers[0][0][0].table
+    dim = len(powers[0])
     acc = tuple(tuple(GPoly.zero(table) for _ in range(dim)) for _ in range(dim))
-    power = mat_identity(table, dim)
-    for m in range(1, order + 1):
-        power = mat_mul(power, N, order)
-        acc = mat_add(acc, power, Fraction((-1) ** (m + 1), m))
+    for m, power in enumerate(powers[1:], start=1):
         if mat_is_zero(power):
             break
+        acc = mat_add(acc, power, Fraction((-1) ** (m + 1), m))
     return acc
 
 
-def _dual_mul(P, Q, order):
-    """Product of dual-number matrices (A, B) ~ A + tB with t^2 = 0."""
-    A, B = P
-    C, D = Q
-    return (mat_mul(A, C, order),
-            mat_add(mat_mul(A, D, order), mat_mul(B, C, order)))
+def _dual_log(powers, B, order):
+    """Dual part of log(I + N + tB) with t^2 = 0, from ``mat_powers(N, order)``
+    and B truncated at base degree ``order``.
 
-
-def _dual_log(P, order):
-    """Dual part of log(A + tB); A - I must vanish at the origin."""
-    A, B = P
-    table = A[0][0].table
-    dim = len(A)
-    N = (mat_add(A, mat_identity(table, dim), -1), B)
-    zero = tuple(tuple(GPoly.zero(table) for _ in range(dim)) for _ in range(dim))
-    acc = zero
-    power = (mat_identity(table, dim), zero)
-    for m in range(1, order + 2):
-        power = _dual_mul(power, N, order)
-        acc = mat_add(acc, power[1], Fraction((-1) ** (m + 1), m))
-        if mat_is_zero(power[0]) and mat_is_zero(power[1]):
-            break
+    The dual part of (N + tB)^m is D_m = N^(m-1) B + D_(m-1) N, of base
+    degree at least m - 1, so the series ends at m = order + 1.
+    """
+    acc = D = B
+    for m in range(2, order + 2):
+        D = mat_add(mat_mul(powers[m - 1], B, order),
+                    mat_mul(D, powers[1], order))
+        acc = mat_add(acc, D, Fraction((-1) ** (m + 1), m))
     return acc
 
 
@@ -451,7 +449,7 @@ def group_log_constraints(S: Scenario) -> list:
             if N[i][j].base_component(0):
                 raise NotNearIdentity(
                     f"phi[{i}][{j}] differs from identity at the origin")
-    fks = _pair_with_basis(S, mat_log(N, order))
+    fks = _pair_with_basis(S, mat_log(mat_powers(N, order)))
 
     base_ids = table.ids_of_kind(Kind.BASE)
     points = S.sample_points or [tuple(Fraction(0) for _ in base_ids)]
@@ -488,7 +486,8 @@ def bch_transport_check(S: Scenario, order: int) -> ValidationReport:
     dim = len(S.phi)
     mats = [_rational_matrix(m) for m in S.basis_matrices]
     phi = tuple(tuple(r) for r in S.phi)
-    nmat = mat_log(mat_add(phi, mat_identity(table, dim), -1), order)
+    powers = mat_powers(mat_add(phi, mat_identity(table, dim), -1), order)
+    nmat = mat_log(powers)
 
     def const_mat(m):
         return tuple(tuple(GPoly.const(table, v) for v in row) for row in m)
@@ -497,9 +496,9 @@ def bch_transport_check(S: Scenario, order: int) -> ValidationReport:
     first_bad = None
     for i, u in enumerate(mats):
         um = const_mat(u)
-        left = _dual_log((phi, mat_mul(phi, um, order)), order)
-        right = _dual_log((phi, mat_mul(um, phi, order)), order)
-        lhs = mat_add(left, right, -1)
+        # the dual part of the log is linear in B: one series for left - right
+        lhs = _dual_log(powers, mat_add(mat_mul(phi, um, order),
+                                        mat_mul(um, phi, order), -1), order)
         rhs = mat_add(mat_mul(nmat, um, order), mat_mul(um, nmat, order), -1)
         diff = mat_add(lhs, rhs, -1)
         for o in range(order + 1):

@@ -447,3 +447,25 @@ def test_lift_escalation_computes_each_column_once(abelian_translation,
     assert seen and max(seen.values()) == 1
     # the bound-1 ansatz reached: it has monomials of base degree 1
     assert any(GPoly(S.table, {m: 1}).max_base_degree() == 1 for m in seen)
+
+
+def test_lift_of_closed_pi_poses_no_ansatz(group_valued_so3, monkeypatch):
+    # the closed form pi + b_i C_i fails its check on group-valued-so3, but
+    # {Q, pi} = 0 there: pi is the lift, found without an ansatz system
+    import bfvkit.engine as engine
+
+    S = group_valued_so3
+    Q = build_charge_deg1(S)
+    calls = []
+
+    def recorder(name, real):
+        def recording(*args):
+            calls.append(name)
+            return real(*args)
+        return recording
+
+    for name in ("enumerate_monomials", "BlockEchelon"):
+        monkeypatch.setattr(engine, name, recorder(name, getattr(engine, name)))
+    assert not bracket(Q, S.pi)
+    assert cocycle_lift(S, Q) == S.pi
+    assert calls == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfvkit import homotopy
 from bfvkit.engine import (ChargeSeries, build_charge_deg1, cocycle_lift,
                            extend_charge)
 from bfvkit.errors import InternalSignError, NotInLagrangian, TruncationWarning
@@ -548,6 +549,57 @@ def test_h0_probe_matches_reference(request, preset, tower_name, degree):
                  "projections", "table", "closure_ok", "inconclusive"):
         assert getattr(got, attr) == getattr(want, attr), attr
     assert got.dim_h0 > 0
+
+
+def probe_kernel_solvers(monkeypatch, S, tower, degree):
+    """The solvers that h0_probe eliminates its kernel blocks with, each
+    with the tags it was given and the columns before relabelling; each
+    labelling is made from the columns just before its solver."""
+    labelled, seen = [], {}
+    real_labels = homotopy._sparse_first
+    real_add = EchelonSolver.add_column
+
+    def recording_labels(vecs):
+        labelled.append(vecs)
+        return real_labels(vecs)
+
+    def recording_add(self, tag, vec):
+        seen.setdefault(id(self), (self, []))[1].append(tag)
+        return real_add(self, tag, vec)
+
+    monkeypatch.setattr(homotopy, "_sparse_first", recording_labels)
+    monkeypatch.setattr(EchelonSolver, "add_column", recording_add)
+    h0_probe(S, tower, degree)
+    monkeypatch.undo()
+    solvers = list(seen.values())
+    assert solvers[len(labelled)][1][0] == ("img", 0)
+    return [(es, list(zip(tags, vecs)))
+            for (es, tags), vecs in zip(solvers, labelled)]
+
+
+@pytest.mark.parametrize("preset, tower_name, degree", [
+    ("so3_classical", "so3_tower", 3),
+    ("dgla_identity", "dgla_tower", 2),
+])
+def test_probe_sparse_pivot_kernels_match_min_key(request, monkeypatch, preset,
+                                                  tower_name, degree):
+    S = request.getfixturevalue(preset)
+    tower = request.getfixturevalue(tower_name)
+    solvers = probe_kernel_solvers(monkeypatch, S, tower, degree)
+    assert len(solvers) > 100
+    for es, cols in solvers:
+        plain = EchelonSolver()
+        for tag, vec in cols:
+            plain.add_column(tag, vec)
+        assert es.kernel == plain.kernel
+
+
+def test_probe_kernel_pivots_reduce_fill(so3_classical, so3_tower, monkeypatch):
+    # min-key pivots store 20,273 row entries on these blocks
+    solvers = probe_kernel_solvers(monkeypatch, so3_classical, so3_tower, 3)
+    stored = sum(len(row) for es, _cols in solvers
+                 for row, _c in es.pivots.values())
+    assert stored < 20273
 
 
 def test_restrict_check_names_first_offender(so3_classical):

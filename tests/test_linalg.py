@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfvkit.linalg import EchelonSolver, kernel_columns, solve_columns
+from bfvkit.linalg import EchelonSolver, solve_columns
 
 
 def test_solve_consistent_system():
@@ -34,7 +34,10 @@ def test_solve_inconsistent_system():
 
 def test_kernel_vectors_annihilate():
     cols = [(i, {0: Fraction(i + 1), 1: Fraction(2 * (i + 1))}) for i in range(4)]
-    kers = kernel_columns(cols)
+    es = EchelonSolver()
+    for tag, vec in cols:
+        es.add_column(tag, vec)
+    kers = es.kernel
     assert len(kers) == 3
     lookup = dict(cols)
     for combo in kers:
@@ -199,3 +202,18 @@ def test_echelon_matches_oracles(system):
         assert combine(columns, sol) == {k: v for k, v in target.items() if v}
     assert sol == ref.solve(target)
     assert es.residual(target) == ref.residual(target)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(), st.permutations(range(ROWS)))
+def test_relabelled_keys_keep_kernel_and_solve(system, order):
+    # kernel and solve depend on the column order alone, so relabelling the
+    # keys, which moves the min-key pivots, leaves them unchanged
+    columns, target = system
+    es, plain = EchelonSolver(), EchelonSolver()
+    for tag, vec in columns:
+        es.add_column(tag, {order[k]: v for k, v in vec.items()})
+        plain.add_column(tag, vec)
+    assert es.kernel == plain.kernel
+    assert (es.solve({order[k]: v for k, v in target.items()})
+            == plain.solve(target))
