@@ -1,11 +1,11 @@
 """Enumeration of graded monomials under degree and ghost constraints.
 
-Used to pose bounded linear ansatz spaces: cofactors for ideal-membership
-solves, Koszul preimages, cocycle-lift corrections and cohomology-probe
-bases.  Base generators (degree 0, no ghost numbers) are enumerated by
-total polynomial degree up to a cap; all other generators are constrained
-by the requested function degree and (ghost, antighost) bidegree, which
-keeps the search finite.
+Used to pose the cofactor spaces of ideal-membership solves; Koszul and
+lift systems pose only the part of such a space that their target reaches
+(:mod:`bfvkit.engine`).  Base generators (degree 0, no ghost numbers) are
+enumerated by total polynomial degree up to a cap; all other generators
+are constrained by the requested function degree and (ghost, antighost)
+bidegree, which keeps the search finite.
 """
 
 from __future__ import annotations

@@ -21,6 +21,8 @@ All exactness problems (Koszul preimages, cocycle lifts, extended-charge
 corrections) are solved by bounded linear ansatz over the monomial basis
 and verified before returning; an inconsistent bounded system raises
 :class:`~bfvkit.errors.NotFound` and never produces an unverified result.
+Each system is posed over the part of the monomial basis that its target
+reaches through the kernel's transpose, with the full system's solution.
 """
 
 from __future__ import annotations
@@ -29,18 +31,16 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .basis import enumerate_monomials
 from .errors import (LiftNotFound, NotBihomogeneous, NotFound, PresetMismatch,
                      ShapeMismatch)
 from .generators import Kind
-from .gpoly import GPoly, apply_derivation, bracket, inner_derivation
-from .linalg import BlockEchelon
+from .gpoly import (GPoly, apply_derivation, bracket, derivation_sources,
+                    inner_derivation)
+from .linalg import EchelonSolver
 from .scenario import Scenario, assemble_constraints
 
-# Per charge: the delta_V operator and the assembled Koszul ansatz systems,
-# reused across solves against that charge.
+# Per charge: the delta_V operator, reused across solves against that charge.
 _koszul_operators = weakref.WeakKeyDictionary()
-_koszul_systems = weakref.WeakKeyDictionary()
 
 
 def build_charge_deg0(L, J, table) -> GPoly:
@@ -162,20 +162,40 @@ def delta_h(Q: GPoly, F: GPoly) -> GPoly:
     return out
 
 
-def _koszul_system(S: Scenario, Q: GPoly, shape, ansatz_degree: int):
-    """Echelonized delta_V system for one ansatz shape, cached per charge."""
-    per_q = _koszul_systems.get(Q)
-    if per_q is None:
-        per_q = {}
-        _koszul_systems[Q] = per_q
-    key = (shape, ansatz_degree)
-    if key not in per_q:
-        fdeg, g, a = shape
-        op = _koszul_operator(Q)
-        per_q[key] = BlockEchelon(
-            (mono, apply_derivation(op, {mono: 1}))
-            for mono in enumerate_monomials(S.table, fdeg, g, a, ansatz_degree))
-    return per_q[key]
+def _reached_solve(op, target: GPoly, shapes, bounds):
+    """Solve sum_m x_m op(m) = target over the monomials m of the
+    (function degree, ghost, antighost) ``shapes`` with base degree at most
+    b, for b in ``bounds`` until one solves.  Only the columns holding a key
+    of the target or of a posed column are posed: the blocks of the full
+    system that the target touches, in its column order (shape, then
+    monomial), so the solution is the full system's.  Returns (solution or
+    None, columns, rank); each column's image is computed once.
+    """
+    order = {shape: i for i, shape in enumerate(shapes)}
+    images, columns, es, sol = {}, {}, EchelonSolver(), None
+    for bound in bounds:
+        columns, keys, reached = {}, list(target.terms), set(target.terms)
+        while keys:
+            k = keys.pop()
+            for m in derivation_sources(op, k, target.table.odd_ids):
+                if m in columns:
+                    continue
+                pos = order.get((target.mono_degree(m),) + target.mono_ghost(m))
+                if pos is None or target.mono_base_degree(m) > bound:
+                    continue
+                if m not in images:
+                    images[m] = apply_derivation(op, {m: 1})
+                if k in images[m]:
+                    columns[m] = pos
+                    keys.extend(kk for kk in images[m] if kk not in reached)
+                    reached.update(images[m])
+        es = EchelonSolver()
+        for m in sorted(columns, key=lambda m: (columns[m], m)):
+            es.add_column(m, images[m])
+        sol = es.solve(target.terms)
+        if sol is not None:
+            break
+    return sol, len(columns), es.rank()
 
 
 def koszul_solve(S: Scenario, Q: GPoly, R: GPoly, ansatz_degree: int) -> GPoly:
@@ -188,12 +208,12 @@ def koszul_solve(S: Scenario, Q: GPoly, R: GPoly, ansatz_degree: int) -> GPoly:
     degs = R.degree_support()
     if len(bids) > 1 or len(degs) > 1:
         raise NotBihomogeneous("koszul_solve expects a bihomogeneous right side")
-    g, a = bids[0]
-    fdeg = degs[0]
-    es = _koszul_system(S, Q, (fdeg - 1, g, a + 1), ansatz_degree)
-    sol = es.solve(R.terms)
+    shape = (degs[0] - 1, bids[0][0], bids[0][1] + 1)
+    sol, n, rank = _reached_solve(_koszul_operator(Q), R, [shape],
+                                  [ansatz_degree])
     if sol is None:
-        raise NotFound("no Koszul preimage in the bounded ansatz", ansatz_degree)
+        raise NotFound(f"no Koszul preimage in the bounded ansatz: shape "
+                       f"{shape}, {n} columns, rank {rank}", ansatz_degree)
     P = GPoly(S.table, {m: c for m, c in sol.items() if c})
     if delta_v(Q, P) != R:
         raise NotFound("bounded Koszul solve failed verification", ansatz_degree)
@@ -240,11 +260,13 @@ def solve_brst_exact(S: Scenario, Q: GPoly, R: GPoly, ansatz_degree: int,
 def cocycle_lift(S: Scenario, Q: GPoly, ansatz_degree: int = 4) -> GPoly:
     """A total-ghost-zero cocycle Pi with Pi^(0,0) = pi and {Q, Pi} = 0.
 
-    Scenario kinds with a closed-form correction use it (classical and
+    Scenario kinds with a closed form try it first (classical and
     group-valued: pi + b_i C_i; dgla: pi - a^i_j C_i b_j; bialgebra and
-    quasi-bialgebra: pi + a^j_{ik} psi_i c_j b_k); otherwise a bounded
-    ansatz over total-ghost-zero corrections is solved.  The result is
-    always verified; LiftNotFound is raised when no bounded lift exists.
+    quasi-bialgebra: pi + a^j_{ik} psi_i c_j b_k).  A candidate with
+    {Q, candidate} != 0 (pi + b_i C_i on group-valued-so3) falls through,
+    as every other kind does, to a bounded ansatz for the target -{Q, pi},
+    and a zero target gives Pi = pi.  The result is always verified;
+    LiftNotFound is raised when no bounded lift exists.
     """
     table = S.table
     pi = S.pi
@@ -271,28 +293,17 @@ def cocycle_lift(S: Scenario, Q: GPoly, ansatz_degree: int = 4) -> GPoly:
     # at least one ghost (so the (0,0) component stays pi).  Function
     # degree 2 bounds the ghost number by 2 + dim h; the base-degree
     # bound escalates, so small corrections are found cheaply and only a
-    # failure at the full bound raises.  Each column is computed once and
-    # reused at the higher bounds.  A closed pi is its own lift, and the
-    # empty solution needs no ansatz.
+    # failure at the full bound raises.
     target = -bracket(Q, pi)
     sol = {}
     if target:
-        ad = inner_derivation(Q)
-        images = {}
-        sol = None
-        for bound in range(ansatz_degree + 1):
-            monos = []
-            for g in range(1, S.dim_h + 3):
-                monos.extend(enumerate_monomials(table, 2, g, g, bound))
-            for mono in monos:
-                if mono not in images:
-                    images[mono] = apply_derivation(ad, {mono: 1})
-            system = BlockEchelon((mono, images[mono]) for mono in monos)
-            sol = system.solve(target.terms)
-            if sol is not None:
-                break
+        sol, n, rank = _reached_solve(
+            inner_derivation(Q), target,
+            [(2, g, g) for g in range(1, S.dim_h + 3)], range(ansatz_degree + 1))
     if sol is None:
-        raise LiftNotFound("no cocycle lift in the bounded ansatz", ansatz_degree)
+        raise LiftNotFound(
+            f"no cocycle lift in the bounded ansatz: shapes (2, g, g) for g "
+            f"in 1..{S.dim_h + 2}, {n} columns, rank {rank}", ansatz_degree)
     Pi = pi + GPoly(table, {m: c for m, c in sol.items() if c})
     if bracket(Q, Pi):
         raise LiftNotFound("cocycle lift failed verification", ansatz_degree)

@@ -466,5 +466,29 @@ def apply_derivation(op: dict, terms: dict) -> dict:
     return out
 
 
+def derivation_sources(op: dict, key: Monomial, odd_ids) -> set:
+    """The transpose of :func:`apply_derivation`: the monomials m whose
+    image under ``op`` can hold ``key``, m = z_b * (k / t) for each term t
+    of coef_b dividing k (none if z_b is odd and in k / t).  Cancellation
+    may still drop k, so a caller confirms each candidate by its image."""
+    kev, kodd = key
+    out = set()
+    for b, coef in op.items():
+        for tev, todd in coef:
+            ev = dict(kev)
+            for g, e in tev:
+                ev[g] = ev.get(g, 0) - e
+            odds = tuple(g for g in kodd if g not in todd)
+            if (min(ev.values(), default=0) < 0 or b in odds
+                    or len(odds) + len(todd) != len(kodd)):
+                continue
+            if b in odd_ids:
+                odds = tuple(sorted(odds + (b,)))
+            else:
+                ev[b] = ev.get(b, 0) + 1
+            out.add((tuple(sorted((g, e) for g, e in ev.items() if e)), odds))
+    return out
+
+
 def mul(F: GPoly, G: GPoly) -> GPoly:
     return F * G

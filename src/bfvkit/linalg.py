@@ -160,7 +160,9 @@ class BlockEchelon:
     """Echelon solver split into independent blocks by support connectivity.
 
     Columns sharing a key are forced into one block, so distinct blocks
-    have disjoint key supports and solves decompose exactly.
+    have disjoint key supports and solves decompose exactly.  The package
+    no longer builds full systems (Koszul and lift systems pose only the
+    blocks their target touches); this is the tests' full-system reference.
     """
 
     def __init__(self, columns):

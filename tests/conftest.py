@@ -45,35 +45,27 @@ def engine_requests():
     lift and the extension (CLI defaults: bound 4, two steps) pose.
 
     ``enumerations`` holds (fdeg, ghost, antighost, max_base_degree) for
-    every monomial enumeration, ``koszul_shapes`` the subset posed as
-    Koszul systems (which are cached per charge, so they are recorded where
-    they are requested, not only where they are built).
+    every shape and bound given to a Koszul or lift system; the full
+    ansatz of such a system is the enumeration of its shapes.
     """
     import bfvkit.engine as engine
 
-    real_enumerate = engine.enumerate_monomials
-    real_system = engine._koszul_system
+    real_solve = engine._reached_solve
     out = {}
     for name in PRESET_NAMES:
         S = parse_scenario(load_preset(name))
-        enums, shapes = set(), set()
+        shapes = set()
 
-        def enumerate_monomials(table, *args):
-            enums.add(args)
-            return real_enumerate(table, *args)
-
-        def koszul_system(S, Q, shape, ansatz_degree):
-            shapes.add(shape + (ansatz_degree,))
-            return real_system(S, Q, shape, ansatz_degree)
+        def reached_solve(op, target, posed, bounds):
+            shapes.update(shape + (bound,) for shape in posed for bound in bounds)
+            return real_solve(op, target, posed, bounds)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "enumerate_monomials", enumerate_monomials)
-            mp.setattr(engine, "_koszul_system", koszul_system)
+            mp.setattr(engine, "_reached_solve", reached_solve)
             Q = engine.build_charge_deg1(S)
             Pi = engine.cocycle_lift(S, Q, 4)
             engine.extend_charge(S, Q, Pi, 2, 4)
-        out[name] = SimpleNamespace(S=S, Q=Q, enumerations=sorted(enums | shapes),
-                                    koszul_shapes=sorted(shapes))
+        out[name] = SimpleNamespace(S=S, Q=Q, enumerations=sorted(shapes))
     return out
 
 

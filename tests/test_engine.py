@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfvkit.engine import (build_charge_deg0, build_charge_deg1, brst_apply,
                            cocycle_lift, delta_h, delta_v, extend_charge,
@@ -14,6 +16,7 @@ from bfvkit.generators import Kind, bfv0_table
 from bfvkit.gpoly import GPoly, bracket
 from bfvkit.grammar import parse
 from bfvkit.liedata import preset_lie
+from bfvkit.linalg import BlockEchelon, connected_blocks
 
 
 @pytest.fixture(scope="module")
@@ -464,8 +467,234 @@ def test_lift_of_closed_pi_poses_no_ansatz(group_valued_so3, monkeypatch):
             return real(*args)
         return recording
 
-    for name in ("enumerate_monomials", "BlockEchelon"):
+    for name in ("_reached_solve", "EchelonSolver"):
         monkeypatch.setattr(engine, name, recorder(name, getattr(engine, name)))
     assert not bracket(Q, S.pi)
     assert cocycle_lift(S, Q) == S.pi
     assert calls == []
+
+
+# -- demand-driven systems against the full build ------------------------
+
+
+def full_koszul_columns(S, Q, shape, ansatz_degree):
+    """Every monomial of the shape with its delta_V image: the columns of
+    the Koszul system as it was built before systems were posed over the
+    reach of their target."""
+    import bfvkit.engine as engine
+    from bfvkit.basis import enumerate_monomials
+    from bfvkit.gpoly import apply_derivation
+
+    fdeg, g, a = shape
+    op = engine._koszul_operator(Q)
+    return [(mono, apply_derivation(op, {mono: 1}))
+            for mono in enumerate_monomials(S.table, fdeg, g, a, ansatz_degree)]
+
+
+def full_koszul_system(S, Q, shape, ansatz_degree):
+    return BlockEchelon(full_koszul_columns(S, Q, shape, ansatz_degree))
+
+
+def touched_columns(columns, target):
+    """Tags of the columns in the blocks (columns linked through shared
+    keys) that hold a key of target, in column order."""
+    cols = [(tag, vec) for tag, vec in columns if vec]
+    return sorted(cols[i][0]
+                  for block in connected_blocks([vec for _, vec in cols])
+                  if any(k in target for i in block for k in cols[i][1])
+                  for i in block)
+
+
+def koszul_shape(R):
+    (g, a), = R.ghost_support()
+    return (R.degree() - 1, g, a + 1)
+
+
+def full_koszul_solve(S, Q, R, ansatz_degree, system=None):
+    """delta_V P = R solved on the full system, or None."""
+    if not R:
+        return GPoly.zero(S.table)
+    system = system or full_koszul_system(S, Q, koszul_shape(R), ansatz_degree)
+    sol = system.solve(R.terms)
+    if sol is None:
+        return None
+    return GPoly(S.table, {m: c for m, c in sol.items() if c})
+
+
+def full_generic_lift(S, Q, ansatz_degree):
+    """The generic lift over the full ansatz at each escalating bound, as
+    it was before systems were posed over the reach of their target; None
+    where cocycle_lift raises LiftNotFound."""
+    from bfvkit.basis import enumerate_monomials
+    from bfvkit.gpoly import apply_derivation, inner_derivation
+
+    target = -bracket(Q, S.pi)
+    if not target:
+        return S.pi
+    ad = inner_derivation(Q)
+    for bound in range(ansatz_degree + 1):
+        monos = []
+        for g in range(1, S.dim_h + 3):
+            monos.extend(enumerate_monomials(S.table, 2, g, g, bound))
+        system = BlockEchelon((m, apply_derivation(ad, {m: 1})) for m in monos)
+        sol = system.solve(target.terms)
+        if sol is not None:
+            Pi = S.pi + GPoly(S.table, {m: c for m, c in sol.items() if c})
+            return None if bracket(Q, Pi) else Pi
+    return None
+
+
+@pytest.fixture(scope="module")
+def preset_koszul_solves():
+    """Every koszul_solve that lift and extend (CLI defaults: bound 4, two
+    steps) make on the six presets: (S, Q, R, bound, posed columns, P)."""
+    import bfvkit.engine as engine
+    from bfvkit.config import parse_scenario
+    from bfvkit.presets import PRESET_NAMES, load_preset
+
+    from test_scenario import recorded_columns
+
+    out = []
+    real = engine.koszul_solve
+    with pytest.MonkeyPatch.context() as mp:
+        posed = recorded_columns(mp)
+
+        def recording(S, Q, R, bound):
+            start = len(posed)
+            P = real(S, Q, R, bound)
+            out.append((S, Q, R, bound, posed[start:], P))
+            return P
+
+        mp.setattr(engine, "koszul_solve", recording)
+        for name in PRESET_NAMES:
+            S = parse_scenario(load_preset(name))
+            Q = build_charge_deg1(S)
+            extend_charge(S, Q, cocycle_lift(S, Q, 4), 2, 4)
+    return out
+
+
+def test_koszul_reach_is_touched_blocks_of_full_system(preset_koszul_solves):
+    # the posed columns are exactly the full system's blocks that hold a
+    # key of R, in enumeration order, and P is the full system's solution
+    assert len(preset_koszul_solves) >= 3
+    for S, Q, R, bound, posed, P in preset_koszul_solves:
+        columns = full_koszul_columns(S, Q, koszul_shape(R), bound)
+        assert posed == touched_columns(columns, R.terms)
+        assert P == full_koszul_solve(S, Q, R, bound, BlockEchelon(columns))
+
+
+@pytest.fixture(scope="module")
+def koszul_spaces(quasi_chi, aff1_bialgebra, so3_classical):
+    """The Koszul shapes the presets pose, and one whose delta_V runs
+    through odd antighosts: (scenario, charge, bound, the shape's
+    monomials, the full system, keys of the target shape that no column of
+    the full system holds)."""
+    from bfvkit.basis import enumerate_monomials
+
+    out = []
+    for S, shape, bound in ((quasi_chi, (2, 0, 1), 4),
+                            (aff1_bialgebra, (2, 1, 2), 4),
+                            (aff1_bialgebra, (2, 1, 3), 4),
+                            (so3_classical, (1, 0, 1), 2)):
+        Q = build_charge_deg1(S)
+        full = full_koszul_system(S, Q, shape, bound)
+        fdeg, g, a = shape
+        stray = [m for m in enumerate_monomials(S.table, fdeg + 1, g, a - 1,
+                                                bound + 2)
+                 if m not in full.key_block]
+        out.append((S, Q, bound, enumerate_monomials(S.table, fdeg, g, a, bound),
+                    full, stray))
+    return out
+
+
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_koszul_round_trip_matches_full_build(koszul_spaces, data):
+    S, Q, bound, monos, full, stray = data.draw(st.sampled_from(koszul_spaces))
+    picks = data.draw(st.dictionaries(st.sampled_from(monos), coefficients,
+                                      min_size=1, max_size=4))
+    R = delta_v(Q, GPoly(S.table, {m: c for m, c in picks.items() if c}))
+    P = koszul_solve(S, Q, R, bound)
+    assert delta_v(Q, P) == R
+    assert P == full_koszul_solve(S, Q, R, bound, full)
+    # one key that no column holds makes both paths inconsistent
+    key = data.draw(st.sampled_from(stray))
+    c = data.draw(coefficients.filter(bool))
+    R = R + GPoly(S.table, {key: c})
+    assert full_koszul_solve(S, Q, R, bound, full) is None
+    with pytest.raises(NotFound):
+        koszul_solve(S, Q, R, bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_generic_lift_matches_full_ansatz(abelian_translation, data):
+    from bfvkit.errors import LiftNotFound
+
+    S = copy.deepcopy(abelian_translation)
+    S.kind = "generalized_pair"
+    fixed = [parse(S.table, "1 * x2^2 e1 e2"), parse(S.table, "1 * x1 x2 e1 e2")]
+    bases = [parse(S.table, f"1 * {x} e1 e2")
+             for x in ("x1", "x2", "x1^2", "x1 x2", "x2^2", "x1^2 x2")]
+    pi = data.draw(st.sampled_from(fixed)) if data.draw(st.booleans()) else \
+        sum((c * b for b, c in zip(bases, data.draw(
+            st.lists(coefficients, min_size=6, max_size=6)))),
+            GPoly.zero(S.table))
+    S.pi = pi
+    Q = build_charge_deg1(S)
+    bound = data.draw(st.integers(0, 3))
+    expected = full_generic_lift(S, Q, bound)
+    if expected is None:
+        with pytest.raises(LiftNotFound):
+            cocycle_lift(S, Q, bound)
+    else:
+        assert cocycle_lift(S, Q, bound) == expected
+
+
+def test_generic_lift_column_order_matches_full_ansatz(aff1_bialgebra):
+    # pi plus one ansatz monomial, for every monomial up to base degree 2:
+    # at that bound some blocks hold a dependency across ghost levels, so
+    # the solution depends on posing the columns ghost level by level
+    from bfvkit.basis import enumerate_monomials
+
+    S = copy.deepcopy(aff1_bialgebra)
+    S.kind = "generalized_pair"
+    Q = build_charge_deg1(S)
+    pi = S.pi
+    for g in (1, 2):
+        for mono in enumerate_monomials(S.table, 2, g, g, 2):
+            S.pi = pi + GPoly(S.table, {mono: Fraction(1)})
+            assert cocycle_lift(S, Q, 2) == full_generic_lift(S, Q, 2), mono
+
+
+def test_extend_poses_only_reached_columns(quasi_chi, aff1_bialgebra):
+    # the full systems have 6,300 (quasi-chi) and 360 (aff1-bialgebra)
+    # columns; a fallback to a full build would pose them all
+    from test_scenario import recorded_columns
+
+    for S, most in ((quasi_chi, 3), (aff1_bialgebra, 10)):
+        Q = build_charge_deg1(S)
+        Pi = cocycle_lift(S, Q)
+        with pytest.MonkeyPatch.context() as mp:
+            posed = recorded_columns(mp)
+            extend_charge(S, Q, Pi, 2, 4)
+        assert 0 < len(posed) <= most
+
+
+def test_bounded_failures_name_the_system(so3_classical, so3_Q,
+                                          abelian_translation):
+    from bfvkit.errors import LiftNotFound
+
+    with pytest.raises(NotFound, match=r"shape \(-1, 0, 1\), 0 columns, "
+                                       r"rank 0 \(bound 1\)"):
+        koszul_solve(so3_classical, so3_Q, GPoly.const(so3_classical.table, 1), 1)
+    S = copy.deepcopy(abelian_translation)
+    S.kind = "generalized_pair"
+    S.pi = parse(S.table, "1 * x2^2 e1 e2")
+    with pytest.raises(LiftNotFound, match=r"shapes \(2, g, g\) for g in "
+                                           r"1\.\.2, \d+ columns, rank \d+ "
+                                           r"\(bound 0\)"):
+        cocycle_lift(S, build_charge_deg1(S), 0)
