@@ -358,7 +358,6 @@ def extend_charge(S: Scenario, Q: GPoly, Pi: GPoly, k_max: int,
         raise ShapeMismatch(
             "extend_charge requires {Q, Q} = 0 and {Q, Pi} = 0")
     for k in range(1, k_max + 1):
-        res, bound = _residual_info(total)
         if not res:
             break
         target = GPoly.zero(S.table)
@@ -372,6 +371,8 @@ def extend_charge(S: Scenario, Q: GPoly, Pi: GPoly, k_max: int,
                                       total_ghost=-k)
         series.terms.append(correction)
         total = total + correction
+        if k < k_max:
+            res = _residual_info(total)[0]
     res, bound = _residual_info(series.total)
     series.residual = res
     series.residual_bound = bound

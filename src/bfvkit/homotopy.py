@@ -35,7 +35,7 @@ from collections import Counter
 from .errors import InternalSignError, NotInLagrangian, TruncationWarning
 from .generators import Kind
 from .gpoly import GPoly, apply_derivation, bracket, inner_derivation
-from .linalg import EchelonSolver, connected_blocks, solve_columns
+from .linalg import EchelonSolver, connected_blocks
 
 
 def restrict_check(F: GPoly) -> GPoly:
@@ -327,9 +327,9 @@ def class_equals(scenario, tower: BracketTower, degree_bound: int,
     if not diff:
         return True
     bound = max(degree_bound, diff.max_base_degree())
-    columns = []
+    es = EchelonSolver()
     for m in lagrangian_monomials(tower.table, -1, bound):
         img = tower.l1_image({m: 1})
         if img:
-            columns.append((m, img.terms))
-    return solve_columns(columns, diff.terms) is not None
+            es.add_column(m, img.terms)
+    return es.solve(diff.terms) is not None

@@ -123,18 +123,6 @@ class EchelonSolver:
         return {t: Fraction(-c, scale) for t, c in combo.items()}
 
 
-def solve_columns(columns, target: dict):
-    """One-shot solve of sum(x_tag * column_tag) = target.
-
-    ``columns`` is an iterable of (tag, vector) pairs.  Returns the
-    coefficient dict or None when the system is inconsistent.
-    """
-    es = EchelonSolver()
-    for tag, vec in columns:
-        es.add_column(tag, vec)
-    return es.solve(target)
-
-
 def connected_blocks(supports) -> list:
     """Indices of the key sets ``supports`` grouped into classes connected
     through shared keys; each class ascending, classes by first index."""

@@ -72,6 +72,19 @@ def test_extend_bialgebra_series_shape(capsys):
     assert int(lines["residual.bound"]) <= -2
 
 
+def test_validate_fails_on_non_antisymmetric_chi(tmp_path, capsys):
+    # chi_{213} is given as +1 next to chi_{123} = 1, so completion keeps it
+    doc = load_preset("quasi-chi")
+    doc["lie"]["chi"] = [[1, 2, 3, 1], [2, 1, 3, 1]]
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "validate", "--scenario", str(path),
+                        "--format", "machine")
+    assert code == 1
+    assert out.splitlines().count("check.quasi.chi-antisymmetry=fail") == 3
+    assert "check.quasi.double-jacobi=pass" not in out
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_validate_all_presets(capsys, name):
     code, _out = run_cli(capsys, "validate", "--scenario", name,

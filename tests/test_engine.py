@@ -313,6 +313,62 @@ def test_extend_quasi_exact_with_antighost_correction(quasi_chi):
     assert (0, 1) in comps and comps[(0, 1)]
 
 
+def _extend_charge_rebracketing(S, Q, Pi, k_max, ansatz_degree):
+    """The loop before the residual was carried between steps: it brackets
+    the current total at the top of every step."""
+    import bfvkit.engine as engine
+
+    series = engine.ChargeSeries(Q=Q, terms=[Pi])
+    total = Q + Pi
+    engine._residual_info(total)
+    for k in range(1, k_max + 1):
+        res, _bound = engine._residual_info(total)
+        if not res:
+            break
+        target = GPoly.zero(S.table)
+        for (gh, _fd), part in res.grade_components().items():
+            if gh == -(k - 1):
+                target = target + part
+        if not target:
+            series.terms.append(GPoly.zero(S.table))
+            continue
+        correction = engine.solve_brst_exact(S, Q, -target, ansatz_degree,
+                                             total_ghost=-k)
+        series.terms.append(correction)
+        total = total + correction
+    series.residual, series.residual_bound = engine._residual_info(series.total)
+    series.exact = not series.residual
+    return series
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+def test_extend_charge_brackets_each_total_once(quasi_chi, aff1_bialgebra,
+                                                k_max, monkeypatch):
+    import bfvkit.engine as engine
+
+    real = engine._residual_info
+    calls = []
+
+    def counting(total):
+        calls.append(total)
+        return real(total)
+
+    monkeypatch.setattr(engine, "_residual_info", counting)
+    for S in (quasi_chi, aff1_bialgebra):
+        Q = build_charge_deg1(S)
+        Pi = cocycle_lift(S, Q)
+        calls.clear()
+        old = _extend_charge_rebracketing(S, Q, Pi, k_max, 4)
+        old_calls = len(calls)
+        calls.clear()
+        new = extend_charge(S, Q, Pi, k_max, 4)
+        assert (new.terms, new.residual, new.residual_bound, new.exact) == \
+            (old.terms, old.residual, old.residual_bound, old.exact)
+        if S is quasi_chi and k_max == 2:
+            assert (old_calls, len(calls)) == (4, 3)
+        assert len(calls) <= old_calls
+
+
 def test_extend_requires_closed_input(so3_classical, so3_Q):
     from bfvkit.errors import ShapeMismatch
 

@@ -7,7 +7,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfvkit.linalg import EchelonSolver, solve_columns
+from bfvkit.linalg import EchelonSolver
+
+
+def _solver(cols):
+    es = EchelonSolver()
+    for tag, vec in cols:
+        es.add_column(tag, vec)
+    return es
 
 
 def test_solve_consistent_system():
@@ -15,7 +22,7 @@ def test_solve_consistent_system():
             ("b", {2: Fraction(1)}),
             ("c", {1: Fraction(2), 2: Fraction(3)})]
     target = {1: Fraction(3), 2: Fraction(5)}
-    sol = solve_columns(cols, target)
+    sol = _solver(cols).solve(target)
     assert sol is not None
     # reconstruct
     acc = {}
@@ -29,15 +36,12 @@ def test_solve_consistent_system():
 
 def test_solve_inconsistent_system():
     cols = [("a", {1: Fraction(1)})]
-    assert solve_columns(cols, {2: Fraction(1)}) is None
+    assert _solver(cols).solve({2: Fraction(1)}) is None
 
 
 def test_kernel_vectors_annihilate():
     cols = [(i, {0: Fraction(i + 1), 1: Fraction(2 * (i + 1))}) for i in range(4)]
-    es = EchelonSolver()
-    for tag, vec in cols:
-        es.add_column(tag, vec)
-    kers = es.kernel
+    kers = _solver(cols).kernel
     assert len(kers) == 3
     lookup = dict(cols)
     for combo in kers:
@@ -59,7 +63,7 @@ def test_rank_and_residual():
 
 def test_solution_is_exact_rational():
     cols = [("a", {0: Fraction(1, 3)}), ("b", {0: Fraction(1, 7), 1: Fraction(1)})]
-    sol = solve_columns(cols, {0: Fraction(1), 1: Fraction(0)})
+    sol = _solver(cols).solve({0: Fraction(1), 1: Fraction(0)})
     assert sol is not None
     assert all(isinstance(v, Fraction) for v in sol.values())
     acc0 = sol.get("a", 0) * Fraction(1, 3) + sol.get("b", 0) * Fraction(1, 7)
