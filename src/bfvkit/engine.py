@@ -5,12 +5,16 @@ The degree-one charge follows the four-term template
     Q = psi_i c_i + J0_j C_j - 1/2 c^{ij}_k c_i c_j b_k - d^{mn}_p c_m C_n B_p
 
 whose bracket-square vanishes exactly whenever the Lie data validators and
-the equivariance checks pass.  Its inner derivation is built once per
-charge, {Q, F} = sum_b coef_b * dF/dz_b|L with coef_b = p * dQ/dz_a|R over
-the pairings (a, b) (:func:`~bfvkit.gpoly.inner_derivation`), and one
-kernel, :func:`~bfvkit.gpoly.apply_derivation`, applies it to the ansatz
-monomials of the cocycle lift and the Koszul systems and to the l_1
-columns of :mod:`bfvkit.homotopy`.  On (ghost, antighost)-bihomogeneous
+the equivariance checks pass.  Its inner derivation, {Q, F} = sum_b coef_b
+* dF/dz_b|L with coef_b = p * dQ/dz_a|R over the pairings (a, b)
+(:func:`~bfvkit.gpoly.inner_derivation`), is compiled once per lift call
+and once per charge for delta_V, and one packed-integer kernel applies it
+to the ansatz monomials of the cocycle lift and the Koszul systems and to
+the l_1 columns of :mod:`bfvkit.homotopy`.
+:func:`~bfvkit.gpoly.apply_derivation` packs a tuple-keyed input, runs the
+kernel and returns exact rationals, dividing by the operator's common
+denominator D; :func:`~bfvkit.gpoly.derivation_sources` reads the
+operator's tuple view.  On (ghost, antighost)-bihomogeneous
 elements {Q, .} splits into the antighost-lowering Koszul part delta_V and
 the ghost-raising Chevalley-Eilenberg part delta_H.  A term of coef_b
 shifts the bidegree of F by its own bidegree minus that of z_b, so
@@ -34,8 +38,8 @@ from fractions import Fraction
 from .errors import (LiftNotFound, NotBihomogeneous, NotFound, PresetMismatch,
                      ShapeMismatch)
 from .generators import Kind
-from .gpoly import (GPoly, apply_derivation, bracket, derivation_sources,
-                    inner_derivation)
+from .gpoly import (Derivation, GPoly, apply_derivation, bracket,
+                    derivation_sources, inner_derivation)
 from .linalg import EchelonSolver
 from .scenario import Scenario, assemble_constraints
 
@@ -130,7 +134,7 @@ def _koszul_operator(Q: GPoly):
         return op
     table = Q.table
     op = {}
-    for b, coef in inner_derivation(Q).items():
+    for b, coef in inner_derivation(Q).terms.items():
         zb = table.gen(b)
         for m, c in coef.items():
             gh, ag = Q.mono_ghost(m)
@@ -141,7 +145,7 @@ def _koszul_operator(Q: GPoly):
                 raise NotBihomogeneous(
                     f"{{Q, .}} shifts bidegrees by {shift} through "
                     f"({table.gen(zb.conjugate).name}, {zb.name})")
-    _koszul_operators[Q] = op
+    op = _koszul_operators[Q] = Derivation(table, op)
     return op
 
 
@@ -177,7 +181,7 @@ def _reached_solve(op, target: GPoly, shapes, bounds):
         columns, keys, reached = {}, list(target.terms), set(target.terms)
         while keys:
             k = keys.pop()
-            for m in derivation_sources(op, k, target.table.odd_ids):
+            for m in derivation_sources(op, k):
                 if m in columns:
                     continue
                 pos = order.get((target.mono_degree(m),) + target.mono_ghost(m))

@@ -24,13 +24,26 @@ Convention note: the axioms together with {e_a, x_b} = delta_ab force
 {e1 e2, x1} = -e2 (expand {x1, e1 e2} by the Leibniz rule and flip); the
 frequently seen left-derivative coordinate formula that yields +e2 is not
 compatible with the Leibniz rule above and is not used here.
+
+An inner derivation {F, .} is compiled once (:class:`Derivation`) and
+applied by one kernel on packed monomials.  A :class:`MonomialCodec` for
+the table and an exponent bound gives each odd generator one bit and each
+even generator a fixed-width exponent field of one Python int, so a
+product is an integer add (zero when the odd masks meet) with a popcount
+parity for its sign, and a derivative is a field decrement times the
+exponent or a cleared bit with the sign of the odd bits below it.  The
+operator's coefficients are scaled to integers by one common denominator
+D: :func:`apply_derivation` divides by D on the way out, while the H^0
+probe keeps the integer columns D * l_1(m), which have the same kernels
+and spans.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .errors import TableMismatch
+from .errors import BfvError, TableMismatch
 from .generators import GeneratorTable
 
 Monomial = tuple  # ((gid, exp), ...), (gid, ...)
@@ -417,7 +430,160 @@ def bracket(F: GPoly, G: GPoly) -> GPoly:
     return GPoly(table, out)
 
 
-def inner_derivation(F: GPoly) -> dict:
+class MonomialCodec:
+    """Monomials of one table packed into one int each, exponents up to
+    ``bound``.
+
+    Odd generator j (in id order) is bit j; above the odd bits each even
+    generator, in id order, has an exponent field of ``width`` bits, one more
+    than ``bound`` needs, so the sum of two packed exponents never carries
+    into the next field.  A product is then an integer add when the odd
+    masks are disjoint (zero otherwise), with sign (-1)^n, n the number of
+    pairs of an odd bit of the left factor above an odd bit of the right
+    factor: the parity of ``popcount(right & sign_mask(left))``.
+    """
+
+    def __init__(self, table: GeneratorTable, bound: int):
+        self.table = table
+        self.width = w = bound.bit_length() + 1
+        self.bound = (1 << (w - 1)) - 1
+        self.field = (1 << w) - 1
+        self.odd_ids = sorted(table.odd_ids)
+        self.even_ids = sorted(g.gid for g in table.entries
+                               if g.gid not in table.odd_ids)
+        self.bit = {g: 1 << j for j, g in enumerate(self.odd_ids)}
+        self.shift = {g: len(self.odd_ids) + i * w
+                      for i, g in enumerate(self.even_ids)}
+        self.odd_mask = (1 << len(self.odd_ids)) - 1
+        lag = table.lagrangian_ids
+        self.outside = (sum(self.bit[g] for g in self.odd_ids if g not in lag)
+                        + sum(self.field << self.shift[g]
+                              for g in self.even_ids if g not in lag))
+
+    def pack(self, mono: Monomial) -> int:
+        evens, odds = mono
+        key = sum(self.bit[g] for g in odds)
+        for g, e in evens:
+            if e > self.bound:
+                raise BfvError(f"exponent {e} of {self.table.gen(g).name} "
+                               f"exceeds the packed field bound {self.bound}")
+            key += e << self.shift[g]
+        return key
+
+    def unpack(self, key: int) -> Monomial:
+        """The monomial of a key, visiting only its set bits and fields."""
+        odds = []
+        rest = key & self.odd_mask
+        while rest:
+            low = rest & -rest
+            odds.append(self.odd_ids[low.bit_length() - 1])
+            rest ^= low
+        evens = []
+        rest, w = key >> len(self.odd_ids), self.width
+        while rest:
+            i = ((rest & -rest).bit_length() - 1) // w
+            e = rest >> (i * w) & self.field
+            evens.append((self.even_ids[i], e))
+            rest ^= e << (i * w)
+        return tuple(evens), tuple(odds)
+
+    def sign_mask(self, key: int) -> int:
+        """The odd bits below each odd bit of ``key``, combined by XOR: a
+        popcount parity is additive over XOR."""
+        mask, rest = 0, key & self.odd_mask
+        while rest:
+            low = rest & -rest
+            mask ^= low - 1
+            rest ^= low
+        return mask
+
+
+class PackedDerivation:
+    """The kernel of a :class:`Derivation` on one codec: each coef_b packed,
+    with its coefficients times the operator's common denominator D, under
+    the bit of an odd z_b or the field index of an even one."""
+
+    def __init__(self, op: "Derivation", codec: MonomialCodec):
+        self.codec = codec
+        D = op.denominator
+        self.odd_parts = {}
+        self.even_parts = [None] * len(codec.even_ids)
+        for b, coef in op.terms.items():
+            terms = []
+            for m, c in coef.items():
+                t = codec.pack(m)
+                terms.append((t, t & codec.odd_mask, codec.sign_mask(t),
+                              c.numerator * (D // c.denominator)))
+            if b in codec.bit:
+                self.odd_parts[codec.bit[b]] = terms
+            else:
+                self.even_parts[codec.even_ids.index(b)] = terms
+
+    def apply(self, terms: dict) -> dict:
+        """D * sum_b coef_b * dF/dz_b|L for F with these packed terms.  The
+        derivative of a packed monomial k: for an odd z_b, k without its
+        bit, with sign (-1)^(odd bits of k below it); for an even z_b, k
+        minus one field unit, times the exponent."""
+        codec = self.codec
+        n_odd, w, f_mask = len(codec.odd_ids), codec.width, codec.field
+        out = {}
+        get = out.get
+        for k, c in terms.items():
+            derivs = []
+            rest = k & codec.odd_mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                coef = self.odd_parts.get(bit)
+                if coef:
+                    derivs.append((coef, k ^ bit,
+                                   -c if (k & (bit - 1)).bit_count() & 1 else c))
+            rest = k >> n_odd
+            while rest:
+                i = ((rest & -rest).bit_length() - 1) // w
+                e = rest >> (i * w) & f_mask
+                rest ^= e << (i * w)
+                coef = self.even_parts[i]
+                if coef:
+                    derivs.append((coef, k - (1 << (n_odd + i * w)), c * e))
+            for coef, dm, f in derivs:
+                for t, todd, sm, cc in coef:
+                    if dm & todd:
+                        continue
+                    m = dm + t
+                    if (dm & sm).bit_count() & 1:
+                        out[m] = get(m, 0) - cc * f
+                    else:
+                        out[m] = get(m, 0) + cc * f
+        return {m: v for m, v in out.items() if v}
+
+
+class Derivation:
+    """A compiled inner derivation {F, .} = sum_b coef_b * d/dz_b|L.
+
+    ``terms`` is the tuple view {b: coef_b}.  ``packed(bound)`` is the
+    kernel for inputs with exponents up to ``bound``; it is kept and built
+    again only when an input needs wider fields.
+    """
+
+    def __init__(self, table: GeneratorTable, terms: dict):
+        self.table = table
+        self.terms = terms
+        self.denominator = lcm(*(c.denominator for coef in terms.values()
+                                 for c in coef.values()))
+        self.max_exponent = max((e for coef in terms.values()
+                                 for evens, _ in coef for _, e in evens), default=0)
+        self._kernel = None
+
+    def packed(self, bound: int) -> PackedDerivation:
+        kernel = self._kernel
+        if kernel is None or bound > kernel.codec.bound:
+            codec = MonomialCodec(self.table, max(bound, self.max_exponent))
+            kernel = self._kernel = PackedDerivation(self, codec)
+        return kernel
+
+
+def inner_derivation(F: GPoly) -> Derivation:
     """{F, .} as {b: coef_b}, coef_b = sum over pairings (a, b) of
     p * dF/dz_a|R, so that {F, G} = sum_b coef_b * dG/dz_b|L."""
     ops = {}
@@ -429,51 +595,26 @@ def inner_derivation(F: GPoly) -> dict:
                 coef[m] = v
             else:
                 del coef[m]
-    return {b: coef for b, coef in ops.items() if coef}
+    return Derivation(F.table, {b: coef for b, coef in ops.items() if coef})
 
 
-def apply_derivation(op: dict, terms: dict) -> dict:
-    """Terms of sum_b coef_b * dF/dz_b|L for F with the given terms.
-
-    The derivative of each monomial is read off its tuples (exponent of an
-    even factor, position sign of an odd one), so no GPoly is built.
-    """
-    out = {}
-    for (evens, odds), c in terms.items():
-        parts = []
-        for i, (b, e) in enumerate(evens):
-            if b in op:
-                rest = evens[:i] + ((b, e - 1),) if e > 1 else evens[:i]
-                parts.append((op[b], (rest + evens[i + 1:], odds), c * e))
-        for pos, b in enumerate(odds):
-            if b in op:
-                parts.append((op[b], (evens, odds[:pos] + odds[pos + 1:]),
-                              -c if pos % 2 else c))
-        for coef, dm, k in parts:
-            for mc, cc in coef.items():
-                m, sign = _mono_mul(mc, dm)
-                if not sign:
-                    continue
-                f = k if sign > 0 else -k
-                w = cc if f == 1 else cc * f
-                v = out.get(m)
-                if v is None:
-                    out[m] = w
-                elif (v := v + w):
-                    out[m] = v
-                else:
-                    del out[m]
-    return out
+def apply_derivation(op: Derivation, terms: dict) -> dict:
+    """Terms of sum_b coef_b * dF/dz_b|L for F with the given terms, exact:
+    the packed kernel's result divided by the operator's denominator D."""
+    kernel = op.packed(max((e for evens, _ in terms for _, e in evens), default=0))
+    pack, unpack, D = kernel.codec.pack, kernel.codec.unpack, op.denominator
+    out = kernel.apply({pack(m): c for m, c in terms.items()})
+    return {unpack(k): Fraction(v, D) for k, v in out.items()}
 
 
-def derivation_sources(op: dict, key: Monomial, odd_ids) -> set:
+def derivation_sources(op: Derivation, key: Monomial) -> set:
     """The transpose of :func:`apply_derivation`: the monomials m whose
     image under ``op`` can hold ``key``, m = z_b * (k / t) for each term t
     of coef_b dividing k (none if z_b is odd and in k / t).  Cancellation
     may still drop k, so a caller confirms each candidate by its image."""
     kev, kodd = key
     out = set()
-    for b, coef in op.items():
+    for b, coef in op.terms.items():
         for tev, todd in coef:
             ev = dict(kev)
             for g, e in tev:
@@ -482,7 +623,7 @@ def derivation_sources(op: dict, key: Monomial, odd_ids) -> set:
             if (min(ev.values(), default=0) < 0 or b in odds
                     or len(odds) + len(todd) != len(kodd)):
                 continue
-            if b in odd_ids:
+            if b in op.table.odd_ids:
                 odds = tuple(sorted(odds + (b,)))
             else:
                 ev[b] = ev.get(b, 0) + 1

@@ -19,18 +19,27 @@ nested bracket yields the opposite sign; the normalization restores the
 classical limit and leaves every coherence identity unchanged (the 2-ary
 bracket enters the homotopy Jacobi identity quadratically).
 
-l_1 has one code path: the inner derivation of Q, built once per tower
-(:func:`~bfvkit.gpoly.inner_derivation`), applied monomial by monomial by
-:func:`~bfvkit.gpoly.apply_derivation`, the kernel that also builds the
-ansatz columns of :mod:`bfvkit.engine`.  The probe and class comparisons
-take their {Q, m} columns from it directly.  Every l_k value is checked to
-lie in K; one that leaves it raises InternalSignError.
+l_1 has one code path: the inner derivation of Q, compiled once per tower
+(:func:`~bfvkit.gpoly.inner_derivation`) and applied by the packed kernel
+of :mod:`bfvkit.gpoly` that also builds the ansatz columns of
+:mod:`bfvkit.engine`.  Every l_k value is checked to lie in K; one that
+leaves it raises InternalSignError.
+
+The H^0 probe runs on the kernel's integers: each column is D * l_1(m) on
+packed keys, and K membership is one AND against the codec's mask of the
+fields outside K.  Scaling every column by the same D leaves each kernel,
+span and residual unchanged.  Keys are then relabelled once: a monomial of
+the bounded ghost 0 space by its index in the sorted list, any other key
+after them.  The in-span test is an integer comparison, and since index
+order is monomial order, the min-key pivots of the ``img`` and ``reps``
+solvers, and so the printed residual representatives, are unchanged.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import Counter
+from math import lcm
 
 from .errors import InternalSignError, NotInLagrangian, TruncationWarning
 from .generators import Kind
@@ -233,17 +242,30 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
     rep = ProbeReport(degree_bound)
     dom0 = lagrangian_monomials(table, 0, degree_bound)
     domm = lagrangian_monomials(table, -1, degree_bound)
-    rep.dim_space = len(dom0)
+    rep.dim_space = n0 = len(dom0)
 
-    # columns: ghost 0 monomials (indices below n0), then ghost -1 monomials
-    n0 = len(dom0)
-    cols = [tower.l1_image({m: 1}).terms for m in dom0 + domm]
-    low = set(dom0)
+    # columns: the ghost 0 monomials (indices below n0), then the ghost -1
+    # monomials, each D * l_1(m) as an integer vector.  Keys are relabelled
+    # once: a monomial of dom0 by its index, any other key by n0 + j.
+    kernel = tower.ad_q.packed(degree_bound)
+    codec = kernel.codec
+    label = {codec.pack(m): i for i, m in enumerate(dom0)}
+    cols = []
+    for key in list(label) + [codec.pack(m) for m in domm]:
+        col = {}
+        for k, v in kernel.apply({key: 1}).items():
+            i = label.get(k)
+            if i is None:
+                if k & codec.outside:
+                    _checked(GPoly(table, {codec.unpack(k): 1}))
+                i = label[k] = len(label)
+            col[i] = v
+        cols.append(col)
 
     # independent blocks: columns that share a key; a ghost 0 column's keys
     # are its image and its own monomial, so a ghost -1 column joins the
     # ghost 0 monomials in its image
-    supports = [list(cols[i]) + [m] for i, m in enumerate(dom0)] + cols[n0:]
+    supports = [list(cols[i]) + [i] for i in range(n0)] + cols[n0:]
     kernel_vecs = []
     image_vecs = []
     for block in connected_blocks(supports):
@@ -256,29 +278,33 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
         lab = _sparse_first([cols[i] for i in dcols])
         es = EchelonSolver()
         for i in dcols:
-            es.add_column(dom0[i], {lab[k]: v for k, v in cols[i].items()})
+            es.add_column(i, {lab[k]: v for k, v in cols[i].items()})
         kernel_vecs.extend(es.kernel)
         if icols:
             # split image vectors into in-span and out-of-span parts; the
             # image inside the span is generated by combinations whose
             # out-of-span part vanishes
-            outs = [{k: v for k, v in cols[i].items() if k not in low}
-                    for i in icols]
+            outs = [{k: v for k, v in cols[i].items() if k >= n0} for i in icols]
             lab = _sparse_first(outs)
             hi = EchelonSolver()
             for i, vec in zip(icols, outs):
                 hi.add_column(i, {lab[k]: v for k, v in vec.items()})
+            # each image vector is formed in integers: only its span is read
             for combo in hi.kernel:
+                scale = lcm(*(c.denominator for c in combo.values()))
                 vec = {}
                 for i, coef in combo.items():
+                    f = coef.numerator * (scale // coef.denominator)
                     for k, v in cols[i].items():
-                        vec[k] = vec.get(k, 0) + coef * v
-                if any(vec.values()):
-                    image_vecs.append({k: v for k, v in vec.items() if v})
+                        if k < n0:
+                            vec[k] = vec.get(k, 0) + f * v
+                vec = {k: v for k, v in vec.items() if v}
+                if vec:
+                    image_vecs.append(vec)
 
     rep.dim_kernel = len(kernel_vecs)
     # min-key pivots: the representatives are residuals, which depend on
-    # the pivot set
+    # the pivot set; index order on dom0 is monomial order
     img = EchelonSolver()
     for i, v in enumerate(image_vecs):
         img.add_column(("img", i), v)
@@ -286,10 +312,12 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
 
     # representatives: kernel vectors reduced modulo the image
     reps = EchelonSolver()
+    rep_vecs = []
     for vec in kernel_vecs:
         resid = img.residual(vec)
-        if resid and reps.add_column(len(rep.representatives), resid):
-            poly = GPoly(table, dict(resid))
+        if resid and reps.add_column(len(rep_vecs), resid):
+            rep_vecs.append(resid)
+            poly = GPoly(table, {dom0[k]: c for k, c in resid.items()})
             rep.representatives.append(poly)
             rep.projections.append(GPoly(
                 table, {m: c for m, c in poly.terms.items()
@@ -298,15 +326,19 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
     # l_2 table on representatives, expressed modulo the image.  The
     # representatives are residuals, independent modulo the image, so
     # adding them to the image solver makes their coefficients unique.
-    for i, r in enumerate(rep.representatives):
-        img.add_column(("rep", i), r.terms)
+    # A value with a key outside dom0 is not in their span.
+    for i, r in enumerate(rep_vecs):
+        img.add_column(("rep", i), r)
+    position = {m: i for i, m in enumerate(dom0)}
     for i, ri in enumerate(rep.representatives):
         for j, rj in enumerate(rep.representatives):
             val = tower.ell2(ri, rj)
             if not val:
                 rep.table[(i, j)] = {}
                 continue
-            sol = img.solve(val.terms)
+            sol = None
+            if all(m in position for m in val.terms):
+                sol = img.solve({position[m]: c for m, c in val.terms.items()})
             if sol is None:
                 rep.closure_ok = False
                 rep.inconclusive.append((i, j))

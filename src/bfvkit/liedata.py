@@ -19,9 +19,10 @@ u*_i (of g*) is n + i with n = dim g.  The table holds c as stored, plus
 either the semidirect sum g |x h, [u_m, v_i] = -[v_i, u_m] = d^{mi}_p v_p,
 or the double g (+) g*, [u_i, u*_j] = -[u*_j, u_i] = a^i_{jq} u_q - c^{ik}_j
 u*_k and [u*_i, u*_j] = chi_{ijk} u_k + a^k_{ij} u*_k (chi optional), summed
-over repeated indices.  Out-of-range entries are left out.  Validators
-report every violated identity with its index tuple; an empty failure list
-means all identities hold exactly.
+over repeated indices.  Out-of-range entries are left out of the table and
+reported as ``index-range`` failures.  Validators report every violated
+identity with its index tuple; an empty failure list means all identities
+hold exactly.
 """
 
 from __future__ import annotations
@@ -105,6 +106,19 @@ class QuasiBialgebraData:
         return Fraction(self.metric.get((i, j), 0))
 
 
+def _inside(idx, *dims) -> bool:
+    return all(1 <= i <= dim for i, dim in zip(idx, dims))
+
+
+def _index_range(rep: ValidationReport, entries, *dims) -> bool:
+    """Record an ``index-range`` failure for each entry index beyond
+    ``dims``; True when there is none."""
+    bad = [idx for idx in entries if not _inside(idx, *dims)]
+    for idx in bad:
+        rep.record("index-range", False, "(" + ",".join(map(str, idx)) + ")")
+    return not bad
+
+
 def bracket_table(L: LieAlgebraData, M: ModuleActionData | None = None,
                   B: BialgebraData | None = None, chi: dict | None = None) -> dict:
     """Bracket table of g, g |x h (``M``) or the double (``B``, ``chi``)."""
@@ -116,25 +130,22 @@ def bracket_table(L: LieAlgebraData, M: ModuleActionData | None = None,
         if flip:
             T.setdefault((y, x), {})[z] = -v
 
-    def inside(idx, *dims):
-        return all(1 <= i <= dim for i, dim in zip(idx, dims))
-
     for (i, j, k), v in L.c.items():
-        if inside((i, j, k), n, n, n):
+        if _inside((i, j, k), n, n, n):
             put(i, j, k, v)
             if B is not None:
                 put(i, n + k, n + j, -v, flip=True)
     if M is not None:
         for (m, i, p), v in M.d.items():
-            if inside((m, i, p), n, M.dim_h, M.dim_h):
+            if _inside((m, i, p), n, M.dim_h, M.dim_h):
                 put(m, n + i, n + p, v, flip=True)
     if B is not None:
         for (k, i, j), v in B.a.items():
-            if inside((k, i, j), n, n, n):
+            if _inside((k, i, j), n, n, n):
                 put(n + i, n + j, n + k, v)
                 put(k, n + i, j, v, flip=True)
     for (i, j, k), v in (chi or {}).items():
-        if inside((i, j, k), n, n, n):
+        if _inside((i, j, k), n, n, n):
             put(n + i, n + j, k, v)
     return T
 
@@ -163,7 +174,7 @@ def validate_lie(L: LieAlgebraData) -> ValidationReport:
     n = L.dim
     anti_ok = True
     for (i, j, k), v in L.c.items():
-        if not (1 <= i <= n and 1 <= j <= n and 1 <= k <= n):
+        if not _inside((i, j, k), n, n, n):
             rep.record("index-range", False, f"({i},{j},{k})")
             anti_ok = False
             continue
@@ -184,6 +195,7 @@ def validate_module(L: LieAlgebraData, M: ModuleActionData) -> ValidationReport:
     J(u_i, u_j, v_nn) in g |x h are rho([u_i, u_j]) - [rho(u_i), rho(u_j)]."""
     rep = ValidationReport("module")
     n = L.dim
+    _index_range(rep, M.d, n, M.dim_h, M.dim_h)
     T = bracket_table(L, M)
     _report(rep, "morphism", (f"({i},{j};{nn},{p - n})"
                               for i, j in product(range(1, n + 1), repeat=2)
@@ -215,8 +227,10 @@ def validate_bialgebra(L: LieAlgebraData, B: BialgebraData) -> ValidationReport:
     J(u*_i, u*_j, u_m)) in the untwisted double."""
     rep = ValidationReport("bialgebra")
     n = L.dim
+    in_range = _index_range(rep, B.a, n, n, n)
     _report(rep, "cobracket-antisymmetry", (
-        f"({k},{i},{j})" for (k, i, j), v in B.a.items() if B.ab(k, j, i) != -v))
+        f"({k},{i},{j})" for (k, i, j), v in B.a.items()
+        if _inside((k, i, j), n, n, n) and B.ab(k, j, i) != -v), in_range)
     T = bracket_table(L, B=B)
     cube = list(product(range(1, n + 1), repeat=3))
     _report(rep, "co-jacobi", (f"({i},{j},{k};{l - n})" for i, j, k in cube
@@ -240,14 +254,16 @@ def validate_quasi(L: LieAlgebraData, Q: QuasiBialgebraData) -> ValidationReport
     rep.title = "quasi"
     n = L.dim
 
+    in_range = _index_range(rep, Q.chi, n, n, n)
     chi_bad = [f"({i},{j},{k})" for (i, j, k), v in Q.chi.items()
-               if Q.x3(j, i, k) != -v or Q.x3(i, k, j) != -v]
+               if _inside((i, j, k), n, n, n)
+               and (Q.x3(j, i, k) != -v or Q.x3(i, k, j) != -v)]
     _report(rep, "chi-antisymmetry", chi_bad, ok=False)
     T = bracket_table(L, B=B, chi=Q.chi)
     _report(rep, "double-jacobi", (
         f"({i - 1},{j - 1},{k - 1})"
         for i, j, k in product(range(1, 2 * n + 1), repeat=3)
-        if jacobiator(T, i, j, k)), not chi_bad)
+        if jacobiator(T, i, j, k)), in_range and not chi_bad)
 
     ok = True
     for i in range(1, n + 1):

@@ -125,23 +125,28 @@ class EchelonSolver:
 
 def connected_blocks(supports) -> list:
     """Indices of the key sets ``supports`` grouped into classes connected
-    through shared keys; each class ascending, classes by first index."""
-    parent = list(range(len(supports)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    owner = {}
+    through shared keys; each class ascending, classes by first index.
+    A search over the column/key graph that expands each key once."""
+    holders = {}
     for i, keys in enumerate(supports):
         for k in keys:
-            a, b = find(owner.setdefault(k, i)), find(i)
-            parent[max(a, b)] = min(a, b)
-    groups = {}
-    for i in range(len(supports)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+            holders.setdefault(k, []).append(i)
+    seen = [False] * len(supports)
+    blocks = []
+    for i, keys in enumerate(supports):
+        if seen[i]:
+            continue
+        seen[i] = True
+        block, stack = [i], [keys]
+        while stack:
+            for k in stack.pop():
+                for j in holders.pop(k, ()):
+                    if not seen[j]:
+                        seen[j] = True
+                        block.append(j)
+                        stack.append(supports[j])
+        blocks.append(sorted(block))
+    return blocks
 
 
 class BlockEchelon:

@@ -85,6 +85,42 @@ def test_validate_fails_on_non_antisymmetric_chi(tmp_path, capsys):
     assert "check.quasi.double-jacobi=pass" not in out
 
 
+def test_validate_reports_out_of_range_entries(tmp_path, capsys):
+    # dim_g = 3: completion gives chi six and a two entries, each out of range
+    doc = load_preset("quasi-chi")
+    doc["lie"]["chi"] = [[1, 2, 4, 1]]
+    doc["lie"]["a"] = [[1, 2, 5, 1]]
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "validate", "--scenario", str(path),
+                        "--format", "machine")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines.count("check.bialgebra.index-range=fail") == 2
+    assert lines.count("check.quasi.index-range=fail") == 8
+    assert "check.quasi.double-jacobi=pass" not in lines
+    assert "check.bialgebra.cobracket-antisymmetry=pass" not in lines
+    code, out = run_cli(capsys, "validate", "--scenario", str(path))
+    assert code == 1
+    for entry in ("(1,2,5)", "(1,5,2)", "(1,2,4)", "(4,2,1)"):
+        assert f"check quasi.index-range: fail  [{entry}]" in out
+    assert "check bialgebra.index-range: fail  [(1,2,5)]" in out
+
+
+def test_validate_reports_out_of_range_module_entry(tmp_path, capsys):
+    # the adjoint action of so(3) written out, plus one entry with p = 4
+    doc = load_preset("so3-classical")
+    cyc = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+    doc["lie"]["d"] = ([[i, j, k, 1] for i, j, k in cyc]
+                       + [[j, i, k, -1] for i, j, k in cyc] + [[1, 1, 4, 1]])
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "validate", "--scenario", str(path))
+    assert code == 1
+    assert "check module.index-range: fail  [(1,1,4)]" in out
+    assert "check module.morphism: pass" in out
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_validate_all_presets(capsys, name):
     code, _out = run_cli(capsys, "validate", "--scenario", name,

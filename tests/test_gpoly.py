@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfvkit.errors import TableMismatch, UnknownGenerator
+from bfvkit.errors import BfvError, TableMismatch, UnknownGenerator
 from bfvkit.generators import bfv0_table, bfv1_table
-from bfvkit.gpoly import GPoly, bracket, mul, normalize
+from bfvkit.gpoly import (Derivation, GPoly, MonomialCodec, _mono_mul,
+                          apply_derivation, bracket, inner_derivation, mul,
+                          normalize)
 from conftest import random_homogeneous
 
 
@@ -409,3 +411,111 @@ def test_bracket_matches_reference_and_axioms(data):
     assert bracket(F, G) == -(-1) ** (((f - s) * (g - s)) % 2) * bracket(G, F)
     assert bracket(F, G * H) == bracket(F, G) * H \
         + (-1) ** (((f - s) * g) % 2) * (G * bracket(F, H))
+
+
+# -- the packed {F, .} kernel against the tuple forms -------------------
+#
+# ``ref_apply_derivation`` is the tuple loop that the packed kernel
+# replaced, kept here with the reference product above in place of
+# ``_mono_mul``.
+
+
+def ref_apply_derivation(op: dict, terms: dict) -> dict:
+    """Terms of sum_b coef_b * dF/dz_b|L, read off the monomial tuples."""
+    out = {}
+    for (evens, odds), c in terms.items():
+        parts = []
+        for i, (b, e) in enumerate(evens):
+            if b in op:
+                rest = evens[:i] + ((b, e - 1),) if e > 1 else evens[:i]
+                parts.append((op[b], (rest + evens[i + 1:], odds), c * e))
+        for pos, b in enumerate(odds):
+            if b in op:
+                parts.append((op[b], (evens, odds[:pos] + odds[pos + 1:]),
+                              -c if pos % 2 else c))
+        for coef, dm, k in parts:
+            for m, w in _ref_mul(coef, {dm: k}).items():
+                v = out.get(m, 0) + w
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+    return out
+
+
+KERNEL_TABLES = (bfv1_table(2, 2, 1), bfv0_table(3, 2, base_pairs=((1, 3),)))
+
+
+@st.composite
+def monomials(draw, table, max_exp):
+    evens = [g.gid for g in table.entries if not g.parity]
+    odds = [g.gid for g in table.entries if g.parity]
+    ev = draw(st.dictionaries(st.sampled_from(evens), st.integers(1, max_exp),
+                              max_size=3))
+    od = draw(st.sets(st.sampled_from(odds), max_size=4))
+    return tuple(sorted(ev.items())), tuple(sorted(od))
+
+
+def rational_terms(table, max_exp):
+    return st.dictionaries(
+        monomials(table, max_exp),
+        st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+        max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_codec_product_and_round_trip(data):
+    t = data.draw(st.sampled_from(KERNEL_TABLES))
+    bound = data.draw(st.integers(1, 9))
+    codec = MonomialCodec(t, bound)
+    # odd parts: disjoint slices of a shuffle, sometimes sharing one id
+    odds = data.draw(st.permutations(sorted(t.odd_ids)))
+    i = data.draw(st.integers(0, len(odds)))
+    j = data.draw(st.integers(i, len(odds)))
+    shared = odds[:1] if i and data.draw(st.booleans()) else []
+    m1 = (data.draw(monomials(t, codec.bound))[0], tuple(sorted(odds[:i])))
+    m2 = (data.draw(monomials(t, codec.bound))[0], tuple(sorted(odds[i:j] + shared)))
+    k1, k2 = codec.pack(m1), codec.pack(m2)
+    assert codec.unpack(k1) == m1 and codec.unpack(k2) == m2
+    m, sign = _mono_mul(m1, m2)
+    if k1 & k2 & codec.odd_mask:
+        assert sign == 0
+        return
+    assert codec.unpack(k1 + k2) == m
+    assert sign == (-1 if (k2 & codec.sign_mask(k1)).bit_count() % 2 else 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_apply_derivation_matches_tuple_loop(data):
+    t = data.draw(st.sampled_from(KERNEL_TABLES))
+    if data.draw(st.booleans()):
+        F, = data.draw(homogeneous_polys(t, 1))
+        op = inner_derivation(F)
+    else:
+        op = Derivation(t, data.draw(st.dictionaries(
+            st.sampled_from([g.gid for g in t.entries]), rational_terms(t, 3),
+            max_size=4)))
+    terms = data.draw(rational_terms(t, 6))
+    got = apply_derivation(op, terms)
+    assert got == ref_apply_derivation(op.terms, terms)
+    assert all(type(c) is Fraction and c for c in got.values())
+
+
+def test_codec_overflow_guard():
+    t = bfv1_table(2, 1, 1)
+    x1, x2 = gid(t, "x1"), gid(t, "x2")
+    codec = MonomialCodec(t, 3)
+    # a 3-bit field holds an exponent up to 3 and the sum of two of them
+    assert (codec.width, codec.bound) == (3, 3)
+    full = (((x1, 3), (x2, 3)), ())
+    assert codec.unpack(codec.pack(full)) == full
+    with pytest.raises(BfvError, match="x2"):
+        codec.pack((((x1, 1), (x2, 4)), ()))
+    # an operator's kernel is sized by its own exponents and the bound asked for
+    op = inner_derivation(normalize(t, [(Fraction(1, 3), [x1] * 5 + [gid(t, "e1")])]))
+    kernel = op.packed(2)
+    assert kernel.codec.bound == 7 and op.denominator == 3
+    with pytest.raises(BfvError):
+        kernel.codec.pack((((x2, 8),), ()))

@@ -1,5 +1,6 @@
 """Derived brackets on the Lagrangian algebra and cohomology probes."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -7,17 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfvkit import homotopy
+from bfvkit.config import parse_scenario
 from bfvkit.engine import (ChargeSeries, build_charge_deg1, cocycle_lift,
                            extend_charge)
 from bfvkit.errors import InternalSignError, NotInLagrangian, TruncationWarning
 from bfvkit.generators import Kind, bfv1_table
 from bfvkit.gpoly import GPoly, apply_derivation, bracket, inner_derivation
-from bfvkit.grammar import parse
+from bfvkit.grammar import parse, serialize
 from bfvkit.homotopy import (BracketTower, ProbeReport, class_equals, h0_probe,
                              homotopy_jacobi_residual, lagrangian_monomials,
                              restrict_check)
 from bfvkit.linalg import EchelonSolver
 from bfvkit.liedata import preset_lie
+from bfvkit.presets import load_preset
 from bfvkit.scenario import Scenario
 
 
@@ -534,15 +537,72 @@ def _reference_h0_probe(tower, degree_bound):
     return rep
 
 
+def rescaled_preset(name, scales=(Fraction(2), Fraction(1, 2), Fraction(-2, 3))):
+    """The preset after the cotangent rescaling x_i -> s_i x_i, e_i -> e_i / s_i,
+    one scale per bfv0 pair and its inverse on the partner (as the benchmark
+    documents are made), so that the charge has non-integer coefficients."""
+    doc = copy.deepcopy(load_preset(name))
+    assert "phi" not in doc and "sample_points" not in doc
+    s = {}
+    for (i, j), v in zip(doc["bfv0_pairs"], scales):
+        s[i], s[j] = v, 1 / v
+    table = parse_scenario(doc).table
+
+    def rescale(text):
+        P = parse(table, text)
+        out = {}
+        for (evens, odds), c in P.terms.items():
+            for g, e in evens:
+                token = table.gen(g).name
+                if token[0] == "x":
+                    c *= s[int(token[1:])] ** e
+            for g in odds:
+                token = table.gen(g).name
+                if token[0] == "e":
+                    c /= s[int(token[1:])]
+            out[(evens, odds)] = c
+        return serialize(GPoly(table, out))
+
+    doc["pi"] = rescale(doc["pi"])
+    doc["psi"] = [rescale(t) for t in doc["psi"]]
+    doc["J0"] = [rescale(t) for t in doc["J0"]]
+    return parse_scenario(doc)
+
+
+@pytest.fixture(scope="module")
+def so3_rescaled():
+    return rescaled_preset("so3-classical")
+
+
+@pytest.fixture(scope="module")
+def dgla_rescaled():
+    return rescaled_preset("dgla-identity")
+
+
+@pytest.fixture(scope="module")
+def so3_rescaled_tower(so3_rescaled):
+    return tower_for(so3_rescaled)
+
+
+@pytest.fixture(scope="module")
+def dgla_rescaled_tower(dgla_rescaled):
+    return tower_for(dgla_rescaled)
+
+
 @pytest.mark.parametrize("preset, tower_name, degree", [
     ("so3_classical", "so3_tower", 3),
     ("dgla_identity", "dgla_tower", 2),
     ("group_valued_so3", "group_tower", 2),
     ("abelian_translation", "abelian_tower", 3),
+    ("so3_rescaled", "so3_rescaled_tower", 3),
+    ("dgla_rescaled", "dgla_rescaled_tower", 2),
 ])
 def test_h0_probe_matches_reference(request, preset, tower_name, degree):
     S = request.getfixturevalue(preset)
     tower = request.getfixturevalue(tower_name)
+    if "rescaled" in preset:
+        # the probe's columns are D * l_1(m): a wrong D must show here
+        assert tower.ad_q.denominator > 1
     got = h0_probe(S, tower, degree)
     want = _reference_h0_probe(tower, degree)
     for attr in ("dim_space", "dim_kernel", "dim_image", "representatives",
@@ -621,7 +681,9 @@ def test_l1_leaving_lagrangian_raises(so3_classical, so3_tower):
     bad = BracketTower(series)
     with pytest.raises(InternalSignError):
         bad.ell1(parse(t, "1 * x1"))
-    with pytest.raises(InternalSignError):
+    # it also adds e1 to coef_{c1}; the first probe column that leaves K,
+    # in monomial order, is that of a c1 B_j
+    with pytest.raises(InternalSignError, match="at e1$"):
         h0_probe(so3_classical, bad, 1)
     with pytest.raises(InternalSignError):
         class_equals(so3_classical, bad, 1, parse(t, "1 * x1"), GPoly.zero(t))
@@ -630,3 +692,10 @@ def test_l1_leaving_lagrangian_raises(so3_classical, so3_tower):
         so3_tower.ell1(parse(t, "1 * e1"))
     x2 = parse(t, "1 * x2")
     assert bad.ell1(x2) == so3_tower.ell1(x2)
+
+
+def test_probe_so3_degree5(so3_classical, so3_tower):
+    rep = h0_probe(so3_classical, so3_tower, 5)
+    assert (rep.dim_space, rep.dim_kernel, rep.dim_image, rep.dim_h0) == \
+        (9240, 1355, 1346, 9)
+    assert len(rep.inconclusive) == 20 and not rep.closure_ok
