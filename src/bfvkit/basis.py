@@ -5,7 +5,9 @@ lift systems pose only the part of such a space that their target reaches
 (:mod:`bfvkit.engine`).  Base generators (degree 0, no ghost numbers) are
 enumerated by total polynomial degree up to a cap; all other generators
 are constrained by the requested function degree and (ghost, antighost)
-bidegree, which keeps the search finite.
+bidegree, which keeps the search finite.  Monomials are packed keys
+(:class:`~bfvkit.generators.MonomialCodec`), listed in the order of their
+tuple forms, which callers that print a basis element rely on.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import itertools
 
 from .generators import GeneratorTable, Kind
-from .gpoly import Monomial
 
 
 def base_exponent_vectors(n_vars: int, max_total: int):
@@ -86,14 +87,18 @@ def enumerate_monomials(table: GeneratorTable, fdeg: int, ghost: int,
 
     rec(0, 0, 0, 0)
 
-    monomials = []
+    pack = table.codec.pack
     base_ids = [g.gid for g in base]
+    bases = []
+    for vec in base_exponent_vectors(len(base_ids), max_base_degree):
+        bev = tuple((gid, e) for gid, e in zip(base_ids, vec) if e)
+        bases.append((bev, pack((bev, ()))))
+    monomials = []
     for combo in results:
         evens = tuple(sorted((g.gid, e) for g, e in combo if g.parity == 0))
         odds = tuple(sorted(g.gid for g, e in combo if g.parity == 1))
-        for vec in base_exponent_vectors(len(base_ids), max_base_degree):
-            bev = tuple((gid, e) for gid, e in zip(base_ids, vec) if e)
-            mono: Monomial = (tuple(sorted(bev + evens)), odds)
-            monomials.append(mono)
+        key = pack((evens, odds))
+        for bev, bkey in bases:
+            monomials.append(((tuple(sorted(bev + evens)), odds), key + bkey))
     monomials.sort()
-    return monomials
+    return [key for _mono, key in monomials]

@@ -53,7 +53,10 @@ class Emitter:
         elif status == UNDECIDED:
             self.undecided = True
         if self.fmt == "machine":
-            self.lines.append(f"check.{name}={status}")
+            # a failure keeps its detail (the failing index), as in
+            # ValidationReport.lines(), so repeated failures stay distinct
+            suffix = f" {detail}" if status == FAIL and detail else ""
+            self.lines.append(f"check.{name}={status}{suffix}")
         else:
             suffix = f"  [{detail}]" if detail else ""
             self.lines.append(f"check {name}: {status}{suffix}")

@@ -150,13 +150,13 @@ def parse_scenario(doc: dict) -> Scenario:
     table = bfv1_table(n, dim_g, dim_h)
 
     def expr(text, key):
-        from .errors import ParseError
+        from .errors import ExponentOverflow, ParseError
 
         if not isinstance(text, str):
             raise SchemaError(key, "expected an expression string")
         try:
             return parse(table, text)
-        except ParseError as exc:
+        except (ParseError, ExponentOverflow) as exc:
             raise SchemaError(key, str(exc)) from exc
 
     pi = expr(doc.get("pi", "0"), "pi")

@@ -7,14 +7,10 @@ The degree-one charge follows the four-term template
 whose bracket-square vanishes exactly whenever the Lie data validators and
 the equivariance checks pass.  Its inner derivation, {Q, F} = sum_b coef_b
 * dF/dz_b|L with coef_b = p * dQ/dz_a|R over the pairings (a, b)
-(:func:`~bfvkit.gpoly.inner_derivation`), is compiled once per lift call
-and once per charge for delta_V, and one packed-integer kernel applies it
-to the ansatz monomials of the cocycle lift and the Koszul systems and to
-the l_1 columns of :mod:`bfvkit.homotopy`.
-:func:`~bfvkit.gpoly.apply_derivation` packs a tuple-keyed input, runs the
-kernel and returns exact rationals, dividing by the operator's common
-denominator D; :func:`~bfvkit.gpoly.derivation_sources` reads the
-operator's tuple view.  On (ghost, antighost)-bihomogeneous
+(:func:`~bfvkit.gpoly.inner_derivation`), is compiled once per charge and
+cached on it, and one packed-integer kernel applies it to the ansatz
+monomials of the cocycle lift and the Koszul systems and to the l_1
+columns of :mod:`bfvkit.homotopy`.  On (ghost, antighost)-bihomogeneous
 elements {Q, .} splits into the antighost-lowering Koszul part delta_V and
 the ghost-raising Chevalley-Eilenberg part delta_H.  A term of coef_b
 shifts the bidegree of F by its own bidegree minus that of z_b, so
@@ -31,20 +27,32 @@ reaches through the kernel's transpose, with the full system's solution.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (LiftNotFound, NotBihomogeneous, NotFound, PresetMismatch,
-                     ShapeMismatch)
+                     SchemaError, ShapeMismatch)
 from .generators import Kind
-from .gpoly import (Derivation, GPoly, apply_derivation, bracket,
-                    derivation_sources, inner_derivation)
+from .gpoly import (Derivation, GPoly, bracket, derivation_sources,
+                    inner_derivation)
 from .linalg import EchelonSolver
 from .scenario import Scenario, assemble_constraints
 
-# Per charge: the delta_V operator, reused across solves against that charge.
-_koszul_operators = weakref.WeakKeyDictionary()
+
+def _ghost_cubics(table, entries, key, *kinds):
+    """sum v * z1_i z2_j z3_k over {(i, j, k): v}, z_n of the n-th kind,
+    with every index checked against its kind's range."""
+    ids = [table.ids_of_kind(kind) for kind in kinds]
+    out = GPoly.zero(table)
+    for idx, v in entries.items():
+        if not all(1 <= i <= len(r) for i, r in zip(idx, ids)):
+            raise SchemaError(key, "index-range: entry ("
+                              + ",".join(map(str, idx)) + ") is out of range")
+        term = GPoly.const(table, v)
+        for i, r in zip(idx, ids):
+            term = term * GPoly.gen(table, r[i - 1])
+        out = out + term
+    return out
 
 
 def build_charge_deg0(L, J, table) -> GPoly:
@@ -54,15 +62,11 @@ def build_charge_deg0(L, J, table) -> GPoly:
     if len(J) != L.dim:
         raise ShapeMismatch("one moment component per Lie algebra generator")
     cg = table.ids_of_kind(Kind.GHOST_G)
-    bg = table.ids_of_kind(Kind.ANTIGHOST_G)
     Q = GPoly.zero(table)
     for i, Ji in enumerate(J):
         Q = Q + Ji * GPoly.gen(table, cg[i])
-    for (i, j, k), v in L.c.items():
-        Q = Q - Fraction(1, 2) * v * (GPoly.gen(table, cg[i - 1])
-                                      * GPoly.gen(table, cg[j - 1])
-                                      * GPoly.gen(table, bg[k - 1]))
-    return Q
+    return Q - Fraction(1, 2) * _ghost_cubics(
+        table, L.c, "lie.c", Kind.GHOST_G, Kind.GHOST_G, Kind.ANTIGHOST_G)
 
 
 def build_charge_deg1(S: Scenario) -> GPoly:
@@ -73,22 +77,16 @@ def build_charge_deg1(S: Scenario) -> GPoly:
         raise PresetMismatch("build_charge_deg1 requires a BFV1 table")
     cg = table.ids_of_kind(Kind.GHOST_G)
     ch = table.ids_of_kind(Kind.GHOST_H)
-    bg = table.ids_of_kind(Kind.ANTIGHOST_G)
-    bh = table.ids_of_kind(Kind.ANTIGHOST_H)
     Q = GPoly.zero(table)
     for i, p in enumerate(cs.deg1):
         Q = Q + p * GPoly.gen(table, cg[i])
     for j, p in enumerate(cs.deg0):
         Q = Q + p * GPoly.gen(table, ch[j])
-    for (i, j, k), v in S.lie.c.items():
-        Q = Q - Fraction(1, 2) * v * (GPoly.gen(table, cg[i - 1])
-                                      * GPoly.gen(table, cg[j - 1])
-                                      * GPoly.gen(table, bg[k - 1]))
+    Q = Q - Fraction(1, 2) * _ghost_cubics(
+        table, S.lie.c, "lie.c", Kind.GHOST_G, Kind.GHOST_G, Kind.ANTIGHOST_G)
     if S.module:
-        for (m, nn, p), v in S.module.d.items():
-            Q = Q - v * (GPoly.gen(table, cg[m - 1])
-                         * GPoly.gen(table, ch[nn - 1])
-                         * GPoly.gen(table, bh[p - 1]))
+        Q = Q - _ghost_cubics(table, S.module.d, "lie.d",
+                              Kind.GHOST_G, Kind.GHOST_H, Kind.ANTIGHOST_H)
     return Q
 
 
@@ -123,30 +121,19 @@ def split_dH_dV(Q: GPoly, F: GPoly):
     return dH, dV
 
 
-def _koszul_operator(Q: GPoly):
-    """delta_V of the charge Q as {b: coef_b}, cached per charge: the
-    inner derivation with each coef_b restricted to the terms that shift
-    bidegrees by (0, -1).  A term whose shift is neither (0, -1) nor
-    (1, 0) raises NotBihomogeneous.
+def _koszul_operator(Q: GPoly) -> Derivation:
+    """delta_V of the charge Q: the inner derivation cut to its terms that
+    shift bidegrees by (0, -1); both are cached on Q.  A term whose shift
+    is neither (0, -1) nor (1, 0) raises NotBihomogeneous.
     """
-    op = _koszul_operators.get(Q)
-    if op is not None:
-        return op
-    table = Q.table
-    op = {}
-    for b, coef in inner_derivation(Q).terms.items():
-        zb = table.gen(b)
-        for m, c in coef.items():
-            gh, ag = Q.mono_ghost(m)
-            shift = (gh - zb.ghost, ag - zb.antighost)
-            if shift == (0, -1):
-                op.setdefault(b, {})[m] = c
-            elif shift != (1, 0):
-                raise NotBihomogeneous(
-                    f"{{Q, .}} shifts bidegrees by {shift} through "
-                    f"({table.gen(zb.conjugate).name}, {zb.name})")
-    op = _koszul_operators[Q] = Derivation(table, op)
-    return op
+    parts = inner_derivation(Q).by_shift()
+    for shift, op in parts.items():
+        if shift not in ((0, -1), (1, 0)):
+            zb = Q.table.gen(next(iter(op.terms)))
+            raise NotBihomogeneous(
+                f"{{Q, .}} shifts bidegrees by {shift} through "
+                f"({Q.table.gen(zb.conjugate).name}, {zb.name})")
+    return parts.get((0, -1)) or Derivation(Q.table, {})
 
 
 def delta_v(Q: GPoly, F: GPoly) -> GPoly:
@@ -154,7 +141,7 @@ def delta_v(Q: GPoly, F: GPoly) -> GPoly:
     bihomogeneous component of F."""
     if not F:
         return F
-    return GPoly(F.table, apply_derivation(_koszul_operator(Q), F.terms))
+    return _koszul_operator(Q)(F)
 
 
 def delta_h(Q: GPoly, F: GPoly) -> GPoly:
@@ -176,6 +163,9 @@ def _reached_solve(op, target: GPoly, shapes, bounds):
     None, columns, rank); each column's image is computed once.
     """
     order = {shape: i for i, shape in enumerate(shapes)}
+    codec = target.table.codec
+    # the columns are op.apply's integers D * op(m), so the target is D * target
+    scaled = {k: c * op.denominator for k, c in target.terms.items()}
     images, columns, es, sol = {}, {}, EchelonSolver(), None
     for bound in bounds:
         columns, keys, reached = {}, list(target.terms), set(target.terms)
@@ -184,19 +174,19 @@ def _reached_solve(op, target: GPoly, shapes, bounds):
             for m in derivation_sources(op, k):
                 if m in columns:
                     continue
-                pos = order.get((target.mono_degree(m),) + target.mono_ghost(m))
-                if pos is None or target.mono_base_degree(m) > bound:
+                pos = order.get(codec.grading(m))
+                if pos is None or codec.base_degree(m) > bound:
                     continue
                 if m not in images:
-                    images[m] = apply_derivation(op, {m: 1})
+                    images[m] = op.apply({m: 1})
                 if k in images[m]:
                     columns[m] = pos
                     keys.extend(kk for kk in images[m] if kk not in reached)
                     reached.update(images[m])
         es = EchelonSolver()
-        for m in sorted(columns, key=lambda m: (columns[m], m)):
+        for m in sorted(columns, key=lambda m: (columns[m], codec.unpack(m))):
             es.add_column(m, images[m])
-        sol = es.solve(target.terms)
+        sol = es.solve(scaled)
         if sol is not None:
             break
     return sol, len(columns), es.rank()

@@ -35,6 +35,10 @@ class InternalSignError(BfvError):
     pass
 
 
+class ExponentOverflow(BfvError):
+    """An exponent past the cap of the packed monomial codec."""
+
+
 class NotNearIdentity(BfvError):
     pass
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import UnknownGenerator
+from .errors import ExponentOverflow, UnknownGenerator
 
 
 class Kind(enum.Enum):
@@ -105,11 +105,6 @@ class GeneratorTable:
         self.base_ids = frozenset(self.ids_of_kind(Kind.BASE))
         self.lagrangian_ids = frozenset(
             g.gid for g in self.entries if g.kind in LAGRANGIAN_KINDS)
-        # gradings indexed by gid (0 where no generator has that id)
-        slots = [self._by_id.get(i) for i in range(max(self._by_id, default=-1) + 1)]
-        self.degrees = tuple(g.degree if g else 0 for g in slots)
-        self.ghosts = tuple(g.ghost if g else 0 for g in slots)
-        self.antighosts = tuple(g.antighost if g else 0 for g in slots)
         for g in self.entries:
             if g.parity != g.degree % 2:
                 raise ValueError(f"parity mismatch for {g.name}")
@@ -122,6 +117,7 @@ class GeneratorTable:
                         f"conjugate degrees of ({g.name}, {h.name}) must sum "
                         f"to {self.shift} in preset {preset}"
                     )
+        self.codec = MonomialCodec(self)
 
     def __eq__(self, other):
         return self is other or (
@@ -148,6 +144,103 @@ class GeneratorTable:
 
     def ids_of_kind(self, kind: Kind) -> tuple:
         return tuple(g.gid for g in self.entries if g.kind == kind)
+
+
+class MonomialCodec:
+    """The monomials of one table, each packed into one int.
+
+    Odd generator j (in id order) is bit j.  Above the odd bits each even
+    generator, in id order, has a field of ``WIDTH`` bits: an exponent up
+    to ``CAP`` and a guard bit on top.  Two valid keys add without a carry
+    out of any field, so a product of monomials is one integer add, and an
+    exponent past ``CAP`` shows as a set guard bit.  The monomial 1 is key
+    0.  The tuple form ``((gid, exponent), ...), (gid, ...)`` (evens, then
+    odds, each by id) fixes the printed orders and nothing else.
+    """
+
+    WIDTH = 8
+    FIELD = (1 << WIDTH) - 1
+    CAP = FIELD >> 1
+
+    def __init__(self, table: GeneratorTable):
+        self.table = table
+        self.odd_ids = sorted(table.odd_ids)
+        self.even_ids = sorted(g.gid for g in table.entries if not g.parity)
+        self.n_odd = n = len(self.odd_ids)
+        self.odd_mask = (1 << n) - 1
+        self.unit = {g: 1 << j for j, g in enumerate(self.odd_ids)}
+        self.unit.update({g: 1 << (n + i * self.WIDTH)
+                          for i, g in enumerate(self.even_ids)})
+        full = {g: self.unit[g] * (1 if g in table.odd_ids else self.FIELD)
+                for g in self.unit}
+        self.weights = {g.gid: (g.degree, g.ghost, g.antighost)
+                        for g in table.entries}
+        self.guard = sum(self.unit[g] << (self.WIDTH - 1) for g in self.even_ids)
+        self.base_mask = sum(full[g] for g in table.base_ids)
+        self.outside = sum(full[g] for g in full if g not in table.lagrangian_ids)
+
+    def pack(self, mono) -> int:
+        """The key of a tuple form; an exponent past ``CAP`` raises."""
+        evens, odds = mono
+        key = sum(self.unit[g] for g in odds)
+        for g, e in evens:
+            if e > self.CAP:
+                raise ExponentOverflow(f"exponent {e} of {self.table.gen(g).name}"
+                                       f" exceeds the cap {self.CAP}")
+            key += e * self.unit[g]
+        return key
+
+    def overflow(self, key: int) -> ExponentOverflow:
+        """The error for a key with a set guard bit."""
+        i = ((key & self.guard).bit_length() - 1 - self.n_odd) // self.WIDTH
+        return ExponentOverflow(f"exponent of {self.table.gen(self.even_ids[i]).name}"
+                                f" exceeds the cap {self.CAP}")
+
+    def unpack(self, key: int) -> tuple:
+        """The tuple form of a key, visiting only its set bits and fields."""
+        odds = []
+        rest = key & self.odd_mask
+        while rest:
+            low = rest & -rest
+            odds.append(self.odd_ids[low.bit_length() - 1])
+            rest ^= low
+        evens = []
+        rest, w = key >> self.n_odd, self.WIDTH
+        while rest:
+            i = ((rest & -rest).bit_length() - 1) // w
+            e = rest >> (i * w) & self.FIELD
+            evens.append((self.even_ids[i], e))
+            rest ^= e << (i * w)
+        return tuple(evens), tuple(odds)
+
+    def sign_mask(self, key: int) -> int:
+        """The odd bits below each odd bit of ``key``, combined by XOR: a
+        popcount parity is additive over XOR."""
+        mask, rest = 0, key & self.odd_mask
+        while rest:
+            low = rest & -rest
+            mask ^= low - 1
+            rest ^= low
+        return mask
+
+    def grading(self, key: int) -> tuple:
+        """(function degree, ghost number, antighost number) of a key."""
+        evens, odds = self.unpack(key)
+        d = g = a = 0
+        for x, e in evens:
+            wd, wg, wa = self.weights[x]
+            d, g, a = d + wd * e, g + wg * e, a + wa * e
+        for x in odds:
+            wd, wg, wa = self.weights[x]
+            d, g, a = d + wd, g + wg, a + wa
+        return d, g, a
+
+    def base_degree(self, key: int) -> int:
+        rest, total = (key & self.base_mask) >> self.n_odd, 0
+        while rest:
+            total += rest & self.FIELD
+            rest >>= self.WIDTH
+        return total
 
 
 def _antisym_factor(deg_a: int, deg_b: int, shift: int) -> int:

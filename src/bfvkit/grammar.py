@@ -31,22 +31,17 @@ def serialize(poly: GPoly) -> str:
     if not poly.terms:
         return "0"
 
-    def mono_key(m):
-        expanded = []
-        for gid, e in m[0]:
-            expanded.extend([gid] * e)
-        expanded.extend(m[1])
-        return tuple(expanded)
+    def expanded(item):
+        (evens, odds), _c = item
+        return tuple(g for g, e in evens for _ in range(e)) + odds
 
     pieces = []
-    for m in sorted(poly.terms, key=mono_key):
-        coeff = poly.terms[m]
-        factors = []
-        for gid, e in m[0]:
-            name = poly.table.gen(gid).name
-            factors.append(name if e == 1 else f"{name}^{e}")
-        for gid in m[1]:
-            factors.append(poly.table.gen(gid).name)
+    unpack = poly.table.codec.unpack
+    for (evens, odds), coeff in sorted(((unpack(m), c) for m, c in poly.terms.items()),
+                                       key=expanded):
+        factors = [poly.table.gen(g).name if e == 1
+                   else f"{poly.table.gen(g).name}^{e}" for g, e in evens]
+        factors.extend(poly.table.gen(g).name for g in odds)
         mag = abs(coeff)
         body = str(mag) if not factors else f"{mag} * " + " ".join(factors)
         pieces.append(("-" if coeff < 0 else "+", body))
@@ -128,14 +123,10 @@ def parse(table, text: str) -> GPoly:
                 exp = int(toks[i][1])
                 if exp < 1:
                     raise ParseError("exponent must be >= 1", toks[i][2])
-                if gen.parity and exp > 1:
-                    # odd squares vanish; keep factors so normalize drops it
-                    pass
                 i += 1
-            factors.extend([gen.gid] * exp)
+            # normalize multiplies the factors out: an odd square vanishes
+            # and an exponent past the codec's cap overflows, so no more
+            # than CAP + 1 copies are needed
+            factors.extend([gen.gid] * min(exp, table.codec.CAP + 1))
         raw.append((coeff, factors))
-    poly = normalize(table, raw)
-    if len(raw) == 1 and not raw[0][1] and raw[0][0] == 0 and text.strip() != "0":
-        # plain zero is only written as "0"; other forms still accepted
-        pass
-    return poly
+    return normalize(table, raw)

@@ -19,20 +19,21 @@ nested bracket yields the opposite sign; the normalization restores the
 classical limit and leaves every coherence identity unchanged (the 2-ary
 bracket enters the homotopy Jacobi identity quadratically).
 
-l_1 has one code path: the inner derivation of Q, compiled once per tower
-(:func:`~bfvkit.gpoly.inner_derivation`) and applied by the packed kernel
-of :mod:`bfvkit.gpoly` that also builds the ansatz columns of
+l_1 has one code path: the inner derivation of Q, compiled once per
+charge (:func:`~bfvkit.gpoly.inner_derivation`) and applied by the packed
+kernel of :mod:`bfvkit.gpoly` that also builds the ansatz columns of
 :mod:`bfvkit.engine`.  Every l_k value is checked to lie in K; one that
 leaves it raises InternalSignError.
 
-The H^0 probe runs on the kernel's integers: each column is D * l_1(m) on
-packed keys, and K membership is one AND against the codec's mask of the
-fields outside K.  Scaling every column by the same D leaves each kernel,
-span and residual unchanged.  Keys are then relabelled once: a monomial of
-the bounded ghost 0 space by its index in the sorted list, any other key
-after them.  The in-span test is an integer comparison, and since index
-order is monomial order, the min-key pivots of the ``img`` and ``reps``
-solvers, and so the printed residual representatives, are unchanged.
+The H^0 probe runs on the kernel's integers: each column is D * l_1(m),
+and K membership is one AND against the codec's mask of the fields
+outside K.  Scaling every column by the same D leaves each kernel, span
+and residual unchanged.  Keys are relabelled once: a monomial of the
+bounded ghost 0 space by its index in that space's sorted list, any other
+key after them.  The in-span test is an integer comparison, and since
+index order is monomial order, the min-key pivots of the ``img`` and
+``reps`` solvers, and so the printed residual representatives, are
+unchanged.
 """
 
 from __future__ import annotations
@@ -41,19 +42,20 @@ import warnings
 from collections import Counter
 from math import lcm
 
+from .basis import enumerate_monomials
 from .errors import InternalSignError, NotInLagrangian, TruncationWarning
-from .generators import Kind
-from .gpoly import GPoly, apply_derivation, bracket, inner_derivation
+from .generators import LAGRANGIAN_KINDS, Kind
+from .gpoly import GPoly, bracket, inner_derivation
 from .linalg import EchelonSolver, connected_blocks
 
 
 def restrict_check(F: GPoly) -> GPoly:
     """Verify F lies in the Lagrangian alphabet; identity on values."""
-    ids = F.table.lagrangian_ids
-    for evens, odds in F.terms:
-        for gid in [g for g, _e in evens] + list(odds):
-            if gid not in ids:
-                raise NotInLagrangian(F.table.gen(gid).name)
+    codec = F.table.codec
+    for m in F.terms:
+        if m & codec.outside:
+            evens, odds = codec.unpack(m & codec.outside)
+            raise NotInLagrangian(F.table.gen(evens[0][0] if evens else odds[0]).name)
     return F
 
 
@@ -75,10 +77,10 @@ class BracketTower:
         self.table = series.Q.table
         self.ad_q = inner_derivation(series.Q)
 
-    def l1_image(self, terms: dict) -> GPoly:
-        """l_1 of the Lagrangian polynomial with these terms: ad_Q applied
-        by the monomial kernel, the value checked like every l_k value."""
-        return _checked(GPoly(self.table, apply_derivation(self.ad_q, terms)))
+    def l1_image(self, f: GPoly) -> GPoly:
+        """l_1 of a Lagrangian polynomial: ad_Q applied by the monomial
+        kernel, the value checked like every l_k value."""
+        return _checked(self.ad_q(f))
 
     def _homogeneous_args(self, args):
         """Split inhomogeneous arguments into homogeneous components."""
@@ -115,7 +117,7 @@ class BracketTower:
 
     def _ell_homogeneous(self, k, args):
         if k == 1:
-            return self.l1_image(args[0].terms)
+            return self.l1_image(args[0])
         val = self.series.term(k - 2)
         for a in args:
             val = bracket(val, a)
@@ -174,28 +176,15 @@ def homotopy_jacobi_residual(tower: BracketTower, f, g, h) -> GPoly:
 # bounded cohomology probe
 
 
-def lagrangian_monomials(table, total_ghost: int, max_base_degree: int):
-    """Monomials of K with the given total ghost number and base degree."""
-    import itertools
-
-    base_ids = table.ids_of_kind(Kind.BASE)
-    ghost_ids = table.ids_of_kind(Kind.GHOST_G)
-    anti_ids = table.ids_of_kind(Kind.ANTIGHOST_H)
-    from .basis import base_exponent_vectors
-
-    out = []
-    for nc in range(len(ghost_ids) + 1):
-        nb = nc - total_ghost
-        if nb < 0 or nb > len(anti_ids):
-            continue
-        for cs in itertools.combinations(ghost_ids, nc):
-            for bs in itertools.combinations(anti_ids, nb):
-                odds = tuple(sorted(cs + bs))
-                for vec in base_exponent_vectors(len(base_ids), max_base_degree):
-                    ev = tuple((gid, e) for gid, e in zip(base_ids, vec) if e)
-                    out.append((ev, odds))
-    out.sort()
-    return out
+def _k_monomials(table, total_ghost: int, max_base_degree: int) -> list:
+    """Monomials of K with the given total ghost number and base degree at
+    most ``max_base_degree``, in tuple order.  On K the function degree is
+    the total ghost number, so these are the shapes (total_ghost, g,
+    g - total_ghost) over the g-ghost count g."""
+    dim_g = len(table.ids_of_kind(Kind.GHOST_G))
+    return sorted((m for g in range(dim_g + 1) for m in enumerate_monomials(
+        table, total_ghost, g, g - total_ghost, max_base_degree, LAGRANGIAN_KINDS)),
+        key=table.codec.unpack)
 
 
 def _sparse_first(vecs) -> dict:
@@ -240,24 +229,23 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
     """
     table = tower.table
     rep = ProbeReport(degree_bound)
-    dom0 = lagrangian_monomials(table, 0, degree_bound)
-    domm = lagrangian_monomials(table, -1, degree_bound)
+    dom0 = _k_monomials(table, 0, degree_bound)
+    domm = _k_monomials(table, -1, degree_bound)
     rep.dim_space = n0 = len(dom0)
 
     # columns: the ghost 0 monomials (indices below n0), then the ghost -1
     # monomials, each D * l_1(m) as an integer vector.  Keys are relabelled
     # once: a monomial of dom0 by its index, any other key by n0 + j.
-    kernel = tower.ad_q.packed(degree_bound)
-    codec = kernel.codec
-    label = {codec.pack(m): i for i, m in enumerate(dom0)}
+    outside = table.codec.outside
+    label = {m: i for i, m in enumerate(dom0)}
     cols = []
-    for key in list(label) + [codec.pack(m) for m in domm]:
+    for key in dom0 + domm:
         col = {}
-        for k, v in kernel.apply({key: 1}).items():
+        for k, v in tower.ad_q.apply({key: 1}).items():
             i = label.get(k)
             if i is None:
-                if k & codec.outside:
-                    _checked(GPoly(table, {codec.unpack(k): 1}))
+                if k & outside:
+                    _checked(GPoly(table, {k: 1}))
                 i = label[k] = len(label)
             col[i] = v
         cols.append(col)
@@ -360,8 +348,8 @@ def class_equals(scenario, tower: BracketTower, degree_bound: int,
         return True
     bound = max(degree_bound, diff.max_base_degree())
     es = EchelonSolver()
-    for m in lagrangian_monomials(tower.table, -1, bound):
-        img = tower.l1_image({m: 1})
+    for m in _k_monomials(tower.table, -1, bound):
+        img = tower.l1_image(GPoly(tower.table, {m: 1}))
         if img:
             es.add_column(m, img.terms)
     return es.solve(diff.terms) is not None

@@ -225,7 +225,6 @@ def _escalate_membership(table, gens, fdeg, target_terms, bound):
     """Solution over (generator index, monomial) tags for a target of
     function degree ``fdeg``, at the least base-degree bound that solves."""
     degs = [g.degree() if g else None for g in gens]
-    base = table.base_ids
     es = EchelonSolver()
     for b in range(bound + 1):
         for gi, g in enumerate(gens):
@@ -233,7 +232,7 @@ def _escalate_membership(table, gens, fdeg, target_terms, bound):
                 continue
             for mono in enumerate_monomials(table, fdeg - degs[gi], 0, 0, b,
                                             kinds={Kind.BASE, Kind.FIBER}):
-                if sum(e for gid, e in mono[0] if gid in base) != b:
+                if table.codec.base_degree(mono) != b:
                     continue
                 col = (GPoly(table, {mono: Fraction(1)}) * g).terms
                 if col:
@@ -333,7 +332,7 @@ def mat_mul(A, B, order):
             for k in range(dim):
                 for (d1, s), (d2, t) in product(ga[i][k].items(), gb[k][j].items()):
                     if d1 + d2 <= order:
-                        mul_into(acc, s, t)
+                        mul_into(table.codec, acc, s, t)
             row.append(GPoly(table, acc))
         out.append(tuple(row))
     return tuple(out)

@@ -28,8 +28,8 @@ from bfvkit.errors import NotFound
 from bfvkit.generators import Kind, bfv0_table, bfv1_table
 from bfvkit.gpoly import GPoly, bracket
 from bfvkit.grammar import parse
-from bfvkit.homotopy import (BracketTower, class_equals, h0_probe,
-                             homotopy_jacobi_residual, lagrangian_monomials)
+from bfvkit.homotopy import (BracketTower, _k_monomials, class_equals, h0_probe,
+                             homotopy_jacobi_residual)
 from bfvkit.liedata import preset_lie, validate_bialgebra
 from conftest import random_homogeneous
 
@@ -225,7 +225,7 @@ def test_criterion_7_homotopy_jacobi(so3, so3_setup, quasi_chi):
         args = []
         for _ in range(3):
             tg = rng.choice((-1, 0, 1))
-            monos = lagrangian_monomials(so3.table, tg, 1)
+            monos = _k_monomials(so3.table, tg, 1)
             pick = rng.sample(monos, min(2, len(monos)))
             p = GPoly(so3.table, {m: Fraction(rng.randint(-2, 2)) for m in pick})
             p = GPoly(so3.table, {m: c for m, c in p.terms.items() if c})
@@ -368,11 +368,12 @@ def test_criterion_10_degree_zero_regression(so3, so3_setup):
     def transport(p):
         out = {}
         for m, cval in p.terms.items():
+            evens, odd_ids = t1.codec.unpack(m)
             ev = tuple(sorted((table0.by_name(t1.gen(g).name).gid, e)
-                              for g, e in m[0]))
+                              for g, e in evens))
             odds = []
             sign = 1
-            for g in m[1]:
+            for g in odd_ids:
                 gen = t1.gen(g)
                 if gen.kind == Kind.GHOST_G:
                     odds.append(table0.by_name(gen.name).gid)

@@ -51,6 +51,7 @@ def test_enumerate_matches_brute_force(engine_requests):
     cases += [(gv_table, (2, g, g, bound)) for g in range(1, 6)
               for bound in range(3)]
     for table, args in cases:
-        assert (enumerate_monomials(table, *args)
+        # packed keys, listed in the order of their tuple forms
+        assert ([table.codec.unpack(m) for m in enumerate_monomials(table, *args)]
                 == brute_force_monomials(table, *args)), args
     assert not enumerate_monomials(gv_table, 2, 5, 5, 2)

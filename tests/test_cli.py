@@ -81,7 +81,9 @@ def test_validate_fails_on_non_antisymmetric_chi(tmp_path, capsys):
     code, out = run_cli(capsys, "validate", "--scenario", str(path),
                         "--format", "machine")
     assert code == 1
-    assert out.splitlines().count("check.quasi.chi-antisymmetry=fail") == 3
+    fails = [l for l in out.splitlines() if "chi-antisymmetry" in l]
+    assert fails == [f"check.quasi.chi-antisymmetry=fail {idx}"
+                     for idx in ("(1,2,3)", "(2,1,3)", "(2,3,1)")]
     assert "check.quasi.double-jacobi=pass" not in out
 
 
@@ -96,8 +98,16 @@ def test_validate_reports_out_of_range_entries(tmp_path, capsys):
                         "--format", "machine")
     assert code == 1
     lines = out.splitlines()
-    assert lines.count("check.bialgebra.index-range=fail") == 2
-    assert lines.count("check.quasi.index-range=fail") == 8
+    # each failure keeps its index, so no two lines are alike
+    ranges = [l for l in lines if "index-range" in l]
+    assert len(set(ranges)) == len(ranges) == 10
+    assert [l for l in ranges if "bialgebra" in l] == [
+        "check.bialgebra.index-range=fail (1,2,5)",
+        "check.bialgebra.index-range=fail (1,5,2)"]
+    assert {l for l in ranges if "quasi" in l} == {
+        f"check.quasi.index-range=fail {idx}" for idx in (
+            "(1,2,5)", "(1,5,2)", "(1,2,4)", "(1,4,2)", "(2,1,4)", "(2,4,1)",
+            "(4,1,2)", "(4,2,1)")}
     assert "check.quasi.double-jacobi=pass" not in lines
     assert "check.bialgebra.cobracket-antisymmetry=pass" not in lines
     code, out = run_cli(capsys, "validate", "--scenario", str(path))
@@ -119,6 +129,53 @@ def test_validate_reports_out_of_range_module_entry(tmp_path, capsys):
     assert code == 1
     assert "check module.index-range: fail  [(1,1,4)]" in out
     assert "check module.morphism: pass" in out
+
+
+def test_exponent_past_the_cap_is_a_schema_error(tmp_path, capsys):
+    doc = load_preset("abelian-translation")
+    doc["pi"] = "1 * x1^128 e1 e2"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert main(["charge", "--scenario", str(path)]) == 2
+    assert "key 'pi'" in capsys.readouterr().err
+    doc["pi"] = "1 * x1^127 e1 e2"
+    path.write_text(json.dumps(doc))
+    assert main(["charge", "--scenario", str(path)]) == 0
+
+
+def _so3_out_of_range(where):
+    """so3-classical with one structure constant indexing past dim_g = 3:
+    in ``c``, or in the adjoint ``d`` written out."""
+    doc = load_preset("so3-classical")
+    if where == "c":
+        doc["lie"]["c"] = doc["lie"]["c"] + [[1, 2, 4, 1]]
+    else:
+        cyc = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+        doc["lie"]["d"] = ([[i, j, k, 1] for i, j, k in cyc]
+                           + [[j, i, k, -1] for i, j, k in cyc] + [[1, 1, 4, 1]])
+    return doc
+
+
+@pytest.mark.parametrize("where, key, entry", [("c", "lie.c", "(1,2,4)"),
+                                               ("d", "lie.d", "(1,1,4)")])
+def test_out_of_range_constants_are_schema_errors(tmp_path, capsys, where,
+                                                  key, entry):
+    # validate reports the entry and exits 1; every command that builds
+    # the charge refuses the document as a usage error naming the entry
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(_so3_out_of_range(where)))
+    code, out = run_cli(capsys, "validate", "--scenario", str(path),
+                        "--format", "machine")
+    assert code == 1
+    assert f"index-range=fail {entry}" in out
+    commands = [("charge",), ("master",), ("lift",), ("extend",)]
+    if where == "c":
+        commands += [("charge", "--bfv0"), ("master", "--bfv0")]
+    for cmd in commands:
+        code = main([cmd[0], "--scenario", str(path), *cmd[1:]])
+        err = capsys.readouterr().err
+        assert code == 2, cmd
+        assert f"key '{key}'" in err and entry in err, cmd
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -493,13 +493,13 @@ def test_lift_escalation_computes_each_column_once(abelian_translation,
     S.pi = parse(S.table, "1 * x2^2 e1 e2")
     Q = build_charge_deg1(S)
     seen = collections.Counter()
-    real = engine.apply_derivation
+    real = engine.Derivation.apply
 
     def counting(op, terms):
         seen.update(terms)
         return real(op, terms)
 
-    monkeypatch.setattr(engine, "apply_derivation", counting)
+    monkeypatch.setattr(engine.Derivation, "apply", counting)
     Pi = cocycle_lift(S, Q, ansatz_degree=4)
     assert Pi == parse(S.table, "1 * x2^2 e1 e2 - 2 * x2 b1 e1 c1")
     assert not bracket(Q, Pi)
@@ -539,11 +539,10 @@ def full_koszul_columns(S, Q, shape, ansatz_degree):
     reach of their target."""
     import bfvkit.engine as engine
     from bfvkit.basis import enumerate_monomials
-    from bfvkit.gpoly import apply_derivation
 
     fdeg, g, a = shape
     op = engine._koszul_operator(Q)
-    return [(mono, apply_derivation(op, {mono: 1}))
+    return [(mono, op(GPoly(S.table, {mono: 1})).terms)
             for mono in enumerate_monomials(S.table, fdeg, g, a, ansatz_degree)]
 
 
@@ -555,10 +554,10 @@ def touched_columns(columns, target):
     """Tags of the columns in the blocks (columns linked through shared
     keys) that hold a key of target, in column order."""
     cols = [(tag, vec) for tag, vec in columns if vec]
-    return sorted(cols[i][0]
-                  for block in connected_blocks([vec for _, vec in cols])
-                  if any(k in target for i in block for k in cols[i][1])
-                  for i in block)
+    return [cols[i][0] for i in sorted(
+        i for block in connected_blocks([vec for _, vec in cols])
+        if any(k in target for i in block for k in cols[i][1])
+        for i in block)]
 
 
 def koszul_shape(R):
@@ -582,7 +581,7 @@ def full_generic_lift(S, Q, ansatz_degree):
     it was before systems were posed over the reach of their target; None
     where cocycle_lift raises LiftNotFound."""
     from bfvkit.basis import enumerate_monomials
-    from bfvkit.gpoly import apply_derivation, inner_derivation
+    from bfvkit.gpoly import inner_derivation
 
     target = -bracket(Q, S.pi)
     if not target:
@@ -592,7 +591,7 @@ def full_generic_lift(S, Q, ansatz_degree):
         monos = []
         for g in range(1, S.dim_h + 3):
             monos.extend(enumerate_monomials(S.table, 2, g, g, bound))
-        system = BlockEchelon((m, apply_derivation(ad, {m: 1})) for m in monos)
+        system = BlockEchelon((m, ad(GPoly(S.table, {m: 1})).terms) for m in monos)
         sol = system.solve(target.terms)
         if sol is not None:
             Pi = S.pi + GPoly(S.table, {m: c for m, c in sol.items() if c})

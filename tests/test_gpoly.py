@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfvkit.errors import BfvError, TableMismatch, UnknownGenerator
+from bfvkit.errors import (BfvError, ExponentOverflow, TableMismatch,
+                           UnknownGenerator)
 from bfvkit.generators import bfv0_table, bfv1_table
-from bfvkit.gpoly import (Derivation, GPoly, MonomialCodec, _mono_mul,
-                          apply_derivation, bracket, inner_derivation, mul,
-                          normalize)
+from bfvkit.gpoly import (Derivation, GPoly, bracket, derivation_sources,
+                          inner_derivation, mul, normalize)
+from bfvkit.grammar import parse, serialize
 from conftest import random_homogeneous
 
 
@@ -75,7 +76,8 @@ def test_normalize_matches_brute_force_sign(rng):
         if sign == 0:
             assert not got
         else:
-            expected = GPoly(t, {((), tuple(sorted(factors))): Fraction(sign)})
+            expected = GPoly(t, {t.codec.pack(((), tuple(sorted(factors)))):
+                                 Fraction(sign)})
             assert got == expected
 
 
@@ -280,12 +282,22 @@ def test_canonical_equality_is_identity(small_table, rng):
         assert (F == G) == (F.terms == G.terms)
 
 
-# -- bracket oracle ----------------------------------------------------
+# -- the tuple kernel, kept as the oracle ------------------------------
 #
-# The bracket below is the earlier implementation, kept as the reference:
-# it visits every pairing, differentiates with a per-call parity lookup and
-# rebuilds the output once per pairing.  It shares no code with bfvkit's
-# bracket, product or derivative.
+# Monomials as tuples ``((gid, exponent), ...), (gid, ...)``: the kernel
+# bfvkit ran before every monomial became one packed int.  It shares no
+# code with the packed product, derivative, bracket or normalize; the
+# tests reach tuples only through the codec's ``pack`` and ``unpack``.
+
+
+def tup(P):
+    """The tuple-keyed terms of a GPoly."""
+    return {P.table.codec.unpack(m): c for m, c in P.terms.items()}
+
+
+def packed(table, terms):
+    """The GPoly of tuple-keyed terms."""
+    return GPoly(table, {table.codec.pack(m): c for m, c in terms.items()})
 
 
 def _ref_merge_odds(s, t):
@@ -352,14 +364,54 @@ def _ref_deriv(table, terms, gid, side):
     return out
 
 
+def ref_normalize(table, raw):
+    """Canonical tuple terms of (coefficient, factor ids) pairs: the sign of
+    the permutation sorting the odd factors, zero on a repeated one."""
+    acc = {}
+    for coeff, factors in raw:
+        coeff = Fraction(coeff)
+        evens, odds = {}, []
+        for gid in factors:
+            if table.gen(gid).parity:
+                odds.append(gid)
+            else:
+                evens[gid] = evens.get(gid, 0) + 1
+        if not coeff or len(set(odds)) != len(odds):
+            continue
+        sign = (-1) ** sum(b > a for i, a in enumerate(odds) for b in odds[:i])
+        mono = (tuple(sorted(evens.items())), tuple(sorted(odds)))
+        v = acc.get(mono, 0) + sign * coeff
+        if v:
+            acc[mono] = v
+        else:
+            del acc[mono]
+    return acc
+
+
+def ref_serialize(table, terms):
+    """Canonical text of tuple terms: terms by the expanded id sequence, even
+    factors (repeated by exponent) before odd ones."""
+    def expanded(m):
+        return tuple(g for g, e in m[0] for _ in range(e)) + m[1]
+
+    text = ""
+    for m in sorted(terms, key=expanded):
+        names = [table.gen(g).name + (f"^{e}" if e > 1 else "") for g, e in m[0]]
+        names += [table.gen(g).name for g in m[1]]
+        body = " * ".join([str(abs(terms[m]))] + ([" ".join(names)] if names else []))
+        sign = "-" if terms[m] < 0 else "+"
+        text += (f" {sign} " if text else ("-" if sign == "-" else "")) + body
+    return text or "0"
+
+
 def reference_bracket(F, G):
     table = F.table
     out = {}
     for (a, b), p in table.pairing.items():
-        dF = _ref_deriv(table, F.terms, a, "right")
+        dF = _ref_deriv(table, tup(F), a, "right")
         if not dF:
             continue
-        dG = _ref_deriv(table, G.terms, b, "left")
+        dG = _ref_deriv(table, tup(G), b, "left")
         if not dG:
             continue
         for m, c in _ref_mul(dF, dG).items():
@@ -368,7 +420,52 @@ def reference_bracket(F, G):
                 out[m] = v
             else:
                 del out[m]
-    return GPoly(table, out)
+    return packed(table, out)
+
+
+def ref_apply_derivation(op: dict, terms: dict) -> dict:
+    """Terms of sum_b coef_b * dF/dz_b|L, read off the monomial tuples."""
+    out = {}
+    for (evens, odds), c in terms.items():
+        parts = []
+        for i, (b, e) in enumerate(evens):
+            if b in op:
+                rest = evens[:i] + ((b, e - 1),) if e > 1 else evens[:i]
+                parts.append((op[b], (rest + evens[i + 1:], odds), c * e))
+        for pos, b in enumerate(odds):
+            if b in op:
+                parts.append((op[b], (evens, odds[:pos] + odds[pos + 1:]),
+                              -c if pos % 2 else c))
+        for coef, dm, k in parts:
+            for m, w in _ref_mul(coef, {dm: k}).items():
+                v = out.get(m, 0) + w
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+    return out
+
+
+def ref_sources(table, op: dict, key) -> set:
+    """The monomials z_b * (key / t) over the terms t of each coef_b that
+    divide key, z_b odd not already in key / t."""
+    kev, kodd = key
+    out = set()
+    for b, coef in op.items():
+        for tev, todd in coef:
+            ev = dict(kev)
+            for g, e in tev:
+                ev[g] = ev.get(g, 0) - e
+            odds = tuple(g for g in kodd if g not in todd)
+            if (min(ev.values(), default=0) < 0 or b in odds
+                    or len(odds) + len(todd) != len(kodd)):
+                continue
+            if b in table.odd_ids:
+                odds = tuple(sorted(odds + (b,)))
+            else:
+                ev[b] = ev.get(b, 0) + 1
+            out.add((tuple(sorted((g, e) for g, e in ev.items() if e)), odds))
+    return out
 
 
 ORACLE_TABLES = (bfv1_table(2, 2, 1), bfv1_table(1, 1, 2),
@@ -376,17 +473,21 @@ ORACLE_TABLES = (bfv1_table(2, 2, 1), bfv1_table(1, 1, 2),
                  bfv0_table(3, 3, base_pairs=((2, 1),)))
 
 
+def raw_terms(table):
+    """(coefficient, factor ids) lists as normalize and the parser take them."""
+    return st.lists(
+        st.tuples(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                  st.lists(st.sampled_from([g.gid for g in table.entries]),
+                           max_size=5)),
+        min_size=1, max_size=6)
+
+
 @st.composite
 def homogeneous_polys(draw, table, count):
     """``count`` random homogeneous polynomials over ``table``."""
-    gids = [g.gid for g in table.entries]
     out = []
     for _ in range(count):
-        raw = draw(st.lists(
-            st.tuples(st.fractions(min_value=-9, max_value=9, max_denominator=7),
-                      st.lists(st.sampled_from(gids), max_size=5)),
-            min_size=1, max_size=6))
-        P = normalize(table, raw)
+        P = normalize(table, draw(raw_terms(table)))
         comps = {}
         for m, c in P.terms.items():
             comps.setdefault(P.mono_degree(m), {})[m] = c
@@ -413,34 +514,23 @@ def test_bracket_matches_reference_and_axioms(data):
         + (-1) ** (((f - s) * g) % 2) * (G * bracket(F, H))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_normalize_mul_deriv_and_order_match_tuple_kernel(data):
+    t = data.draw(st.sampled_from(ORACLE_TABLES))
+    raw_f, raw_g = data.draw(raw_terms(t)), data.draw(raw_terms(t))
+    F, G = normalize(t, raw_f), normalize(t, raw_g)
+    assert tup(F) == ref_normalize(t, raw_f)
+    assert tup(F * G) == _ref_mul(tup(F), tup(G))
+    gid = data.draw(st.sampled_from([g.gid for g in t.entries]))
+    for side in ("left", "right"):
+        assert tup(F.deriv(gid, side)) == _ref_deriv(t, tup(F), gid, side)
+    # the printed term order is the tuple kernel's, whatever the key order
+    assert serialize(F) == ref_serialize(t, tup(F))
+    assert parse(t, serialize(F)) == F
+
+
 # -- the packed {F, .} kernel against the tuple forms -------------------
-#
-# ``ref_apply_derivation`` is the tuple loop that the packed kernel
-# replaced, kept here with the reference product above in place of
-# ``_mono_mul``.
-
-
-def ref_apply_derivation(op: dict, terms: dict) -> dict:
-    """Terms of sum_b coef_b * dF/dz_b|L, read off the monomial tuples."""
-    out = {}
-    for (evens, odds), c in terms.items():
-        parts = []
-        for i, (b, e) in enumerate(evens):
-            if b in op:
-                rest = evens[:i] + ((b, e - 1),) if e > 1 else evens[:i]
-                parts.append((op[b], (rest + evens[i + 1:], odds), c * e))
-        for pos, b in enumerate(odds):
-            if b in op:
-                parts.append((op[b], (evens, odds[:pos] + odds[pos + 1:]),
-                              -c if pos % 2 else c))
-        for coef, dm, k in parts:
-            for m, w in _ref_mul(coef, {dm: k}).items():
-                v = out.get(m, 0) + w
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-    return out
 
 
 KERNEL_TABLES = (bfv1_table(2, 2, 1), bfv0_table(3, 2, base_pairs=((1, 3),)))
@@ -467,23 +557,17 @@ def rational_terms(table, max_exp):
 @given(st.data())
 def test_codec_product_and_round_trip(data):
     t = data.draw(st.sampled_from(KERNEL_TABLES))
-    bound = data.draw(st.integers(1, 9))
-    codec = MonomialCodec(t, bound)
+    codec = t.codec
     # odd parts: disjoint slices of a shuffle, sometimes sharing one id
     odds = data.draw(st.permutations(sorted(t.odd_ids)))
     i = data.draw(st.integers(0, len(odds)))
     j = data.draw(st.integers(i, len(odds)))
     shared = odds[:1] if i and data.draw(st.booleans()) else []
-    m1 = (data.draw(monomials(t, codec.bound))[0], tuple(sorted(odds[:i])))
-    m2 = (data.draw(monomials(t, codec.bound))[0], tuple(sorted(odds[i:j] + shared)))
+    m1 = (data.draw(monomials(t, 63))[0], tuple(sorted(odds[:i])))
+    m2 = (data.draw(monomials(t, 64))[0], tuple(sorted(odds[i:j] + shared)))
     k1, k2 = codec.pack(m1), codec.pack(m2)
     assert codec.unpack(k1) == m1 and codec.unpack(k2) == m2
-    m, sign = _mono_mul(m1, m2)
-    if k1 & k2 & codec.odd_mask:
-        assert sign == 0
-        return
-    assert codec.unpack(k1 + k2) == m
-    assert sign == (-1 if (k2 & codec.sign_mask(k1)).bit_count() % 2 else 1)
+    assert tup(packed(t, {m1: 1}) * packed(t, {m2: 1})) == _ref_mul({m1: 1}, {m2: 1})
 
 
 @settings(max_examples=200, deadline=None)
@@ -494,28 +578,48 @@ def test_apply_derivation_matches_tuple_loop(data):
         F, = data.draw(homogeneous_polys(t, 1))
         op = inner_derivation(F)
     else:
-        op = Derivation(t, data.draw(st.dictionaries(
-            st.sampled_from([g.gid for g in t.entries]), rational_terms(t, 3),
-            max_size=4)))
+        op = Derivation(t, {b: packed(t, coef).terms for b, coef in data.draw(
+            st.dictionaries(st.sampled_from([g.gid for g in t.entries]),
+                            rational_terms(t, 3), max_size=4)).items()})
     terms = data.draw(rational_terms(t, 6))
-    got = apply_derivation(op, terms)
-    assert got == ref_apply_derivation(op.terms, terms)
-    assert all(type(c) is Fraction and c for c in got.values())
+    tuple_op = {b: tup(GPoly(t, coef)) for b, coef in op.terms.items()}
+    got = op(packed(t, terms))
+    assert tup(got) == ref_apply_derivation(tuple_op, terms)
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+    # the transpose: every key of the image has each of its sources among
+    # the tuple kernel's candidates, and nothing else is a candidate
+    for key in list(got.terms)[:3]:
+        sources = derivation_sources(op, key)
+        assert {t.codec.unpack(m) for m in sources} == \
+            ref_sources(t, tuple_op, t.codec.unpack(key))
+        assert any(key in op.apply({m: 1}) for m in sources)
 
 
 def test_codec_overflow_guard():
     t = bfv1_table(2, 1, 1)
+    codec = t.codec
     x1, x2 = gid(t, "x1"), gid(t, "x2")
-    codec = MonomialCodec(t, 3)
-    # a 3-bit field holds an exponent up to 3 and the sum of two of them
-    assert (codec.width, codec.bound) == (3, 3)
-    full = (((x1, 3), (x2, 3)), ())
+    cap = codec.CAP
+    assert (codec.WIDTH, cap) == (8, 127)
+    full = (((x1, cap), (x2, cap)), ())
     assert codec.unpack(codec.pack(full)) == full
-    with pytest.raises(BfvError, match="x2"):
-        codec.pack((((x1, 1), (x2, 4)), ()))
-    # an operator's kernel is sized by its own exponents and the bound asked for
-    op = inner_derivation(normalize(t, [(Fraction(1, 3), [x1] * 5 + [gid(t, "e1")])]))
-    kernel = op.packed(2)
-    assert kernel.codec.bound == 7 and op.denominator == 3
-    with pytest.raises(BfvError):
-        kernel.codec.pack((((x2, 8),), ()))
+    with pytest.raises(ExponentOverflow, match="x2"):
+        codec.pack((((x1, 1), (x2, cap + 1)), ()))
+    # parsing multiplies the factors out: x1^cap is a value, x1^(cap+1) is not
+    assert tup(parse(t, f"1 * x1^{cap} x2^{cap}")) == {full: 1}
+    with pytest.raises(ExponentOverflow, match="x1"):
+        parse(t, f"1 * x1^{cap + 1}")
+    assert issubclass(ExponentOverflow, BfvError)
+
+
+def test_product_overflow_sets_the_guard_bit():
+    # two exponents within the cap whose sum is past it: the add carries
+    # into the field's guard bit, never into the next field
+    t = bfv1_table(2, 1, 1)
+    big = parse(t, "1 * x1^100 x2^127")
+    assert big * parse(t, "1 * x1^27") == parse(t, "1 * x1^127 x2^127")
+    with pytest.raises(ExponentOverflow, match="x1"):
+        big * parse(t, "1 * x1^28")
+    with pytest.raises(ExponentOverflow, match="x2"):
+        big * parse(t, "2 * x2 e1")
+    assert big.deriv(gid(t, "x2")) == 127 * parse(t, "1 * x1^100 x2^126")

@@ -13,10 +13,10 @@ from bfvkit.engine import (ChargeSeries, build_charge_deg1, cocycle_lift,
                            extend_charge)
 from bfvkit.errors import InternalSignError, NotInLagrangian, TruncationWarning
 from bfvkit.generators import Kind, bfv1_table
-from bfvkit.gpoly import GPoly, apply_derivation, bracket, inner_derivation
+from bfvkit.gpoly import GPoly, bracket, inner_derivation
 from bfvkit.grammar import parse, serialize
-from bfvkit.homotopy import (BracketTower, ProbeReport, class_equals, h0_probe,
-                             homotopy_jacobi_residual, lagrangian_monomials,
+from bfvkit.homotopy import (BracketTower, ProbeReport, _k_monomials,
+                             class_equals, h0_probe, homotopy_jacobi_residual,
                              restrict_check)
 from bfvkit.linalg import EchelonSolver
 from bfvkit.liedata import preset_lie
@@ -54,7 +54,7 @@ def rand_lagrangian(table, rng, max_base=2):
     """Random homogeneous element of the Lagrangian algebra."""
     for _ in range(50):
         tg = rng.choice((-2, -1, 0, 1, 2))
-        monos = lagrangian_monomials(table, tg, max_base)
+        monos = _k_monomials(table, tg, max_base)
         if not monos:
             continue
         pick = rng.sample(monos, min(3, len(monos)))
@@ -412,8 +412,8 @@ def test_kernel_is_bracket_on_probe_spaces(request, preset, degree):
     ad = inner_derivation(Q)
     checked = 0
     for total_ghost in (0, -1):
-        for m in lagrangian_monomials(S.table, total_ghost, degree):
-            got = GPoly(S.table, apply_derivation(ad, {m: Fraction(1)}))
+        for m in _k_monomials(S.table, total_ghost, degree):
+            got = ad(GPoly(S.table, {m: Fraction(1)}))
             assert got == bracket(Q, GPoly(S.table, {m: Fraction(1)})), m
             checked += 1
     assert checked > 100
@@ -421,7 +421,7 @@ def test_kernel_is_bracket_on_probe_spaces(request, preset, degree):
 
 def _lagrangian_polys(table):
     monos = [m for tg in (-2, -1, 0, 1, 2)
-             for m in lagrangian_monomials(table, tg, 2)]
+             for m in _k_monomials(table, tg, 2)]
     coefs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
     return st.dictionaries(st.sampled_from(monos), coefs, max_size=6).map(
         lambda terms: GPoly(table, {m: c for m, c in terms.items() if c}))
@@ -440,12 +440,18 @@ def test_ell1_is_bracket_with_charge(so3_tower, quasi_tower, aff1_tower,
 
 def _reference_h0_probe(tower, degree_bound):
     """The probe before the monomial kernel: columns from the full bracket,
-    blocks from a union-find over tuple keys."""
+    blocks from a union-find, solvers on tuple keys (min-key pivots in
+    tuple order)."""
     table = tower.table
     Q = tower.series.Q
+    unpack, pack = table.codec.unpack, table.codec.pack
+
+    def tup(P):
+        return {unpack(k): c for k, c in P.terms.items()}
+
     rep = ProbeReport(degree_bound)
-    dom0 = lagrangian_monomials(table, 0, degree_bound)
-    domm = lagrangian_monomials(table, -1, degree_bound)
+    dom0 = _k_monomials(table, 0, degree_bound)
+    domm = _k_monomials(table, -1, degree_bound)
     rep.dim_space = len(dom0)
 
     def image(m):
@@ -491,19 +497,19 @@ def _reference_h0_probe(tower, degree_bound):
                                           key=lambda kv: kv[1][0][0]):
         es = EchelonSolver()
         for m in dmonos:
-            es.add_column(m, d0[m].terms)
+            es.add_column(unpack(m), tup(d0[m]))
         kernel_vecs.extend(es.kernel)
         if imonos:
             hi = EchelonSolver()
             for m in imonos:
-                hi.add_column(m, {k: v for k, v in dm[m].terms.items()
+                hi.add_column(m, {unpack(k): v for k, v in dm[m].terms.items()
                                   if k not in low})
             for combo in hi.kernel:
                 vec = GPoly.zero(table)
                 for m, coef in combo.items():
                     vec = vec + coef * dm[m]
                 if vec:
-                    image_vecs.append(vec.terms)
+                    image_vecs.append(tup(vec))
 
     rep.dim_kernel = len(kernel_vecs)
     img = EchelonSolver()
@@ -514,20 +520,20 @@ def _reference_h0_probe(tower, degree_bound):
     for vec in kernel_vecs:
         resid = img.residual(vec)
         if resid and reps.add_column(len(rep.representatives), resid):
-            poly = GPoly(table, dict(resid))
+            poly = GPoly(table, {pack(k): c for k, c in resid.items()})
             rep.representatives.append(poly)
             rep.projections.append(GPoly(
                 table, {m: c for m, c in poly.terms.items()
                         if poly.mono_ghost(m) == (0, 0)}))
     for i, r in enumerate(rep.representatives):
-        img.add_column(("rep", i), r.terms)
+        img.add_column(("rep", i), tup(r))
     for i, ri in enumerate(rep.representatives):
         for j, rj in enumerate(rep.representatives):
             val = tower.ell2(ri, rj)
             if not val:
                 rep.table[(i, j)] = {}
                 continue
-            sol = img.solve(val.terms)
+            sol = img.solve(tup(val))
             if sol is None:
                 rep.closure_ok = False
                 rep.inconclusive.append((i, j))
@@ -551,7 +557,8 @@ def rescaled_preset(name, scales=(Fraction(2), Fraction(1, 2), Fraction(-2, 3)))
     def rescale(text):
         P = parse(table, text)
         out = {}
-        for (evens, odds), c in P.terms.items():
+        for m, c in P.terms.items():
+            evens, odds = table.codec.unpack(m)
             for g, e in evens:
                 token = table.gen(g).name
                 if token[0] == "x":
@@ -560,7 +567,7 @@ def rescaled_preset(name, scales=(Fraction(2), Fraction(1, 2), Fraction(-2, 3)))
                 token = table.gen(g).name
                 if token[0] == "e":
                     c /= s[int(token[1:])]
-            out[(evens, odds)] = c
+            out[m] = c
         return serialize(GPoly(table, out))
 
     doc["pi"] = rescale(doc["pi"])
@@ -694,8 +701,85 @@ def test_l1_leaving_lagrangian_raises(so3_classical, so3_tower):
     assert bad.ell1(x2) == so3_tower.ell1(x2)
 
 
-def test_probe_so3_degree5(so3_classical, so3_tower):
-    rep = h0_probe(so3_classical, so3_tower, 5)
+@pytest.fixture(scope="module")
+def so3_probes(so3_classical, so3_tower):
+    """The so3-classical probe at degree bounds 1 to 5."""
+    return {d: h0_probe(so3_classical, so3_tower, d) for d in range(1, 6)}
+
+
+def test_probe_so3_degree5(so3_probes):
+    rep = so3_probes[5]
     assert (rep.dim_space, rep.dim_kernel, rep.dim_image, rep.dim_h0) == \
         (9240, 1355, 1346, 9)
     assert len(rep.inconclusive) == 20 and not rep.closure_ok
+
+
+# -- independent oracles for the probe -----------------------------------
+
+
+def test_probe_so3_matches_hilbert_function(so3_probes):
+    # H^0 of so3-classical is the SO(3)-invariants of (q, p) on J = q x p = 0:
+    # R[q^2, p^2, q.p] / ((q.p)^2 - q^2 p^2), whose Hilbert function counts
+    # (floor(d/2) + 1)^2 classes of base degree at most d
+    for d, rep in so3_probes.items():
+        assert rep.dim_h0 == (d // 2 + 1) ** 2, d
+
+
+def bracket_violations(table, n):
+    """(antisymmetry failures, Jacobi failures, decided Jacobi triples) of
+    an l_2 table on n classes of degree 0, {(i, j): {k: coefficient}}:
+    l_2(i, j) = -l_2(j, i) where both are decided, and the cyclic sum of
+    l_2(l_2(i, j), k) vanishes where every entry it reads is decided."""
+    anti = [(i, j) for (i, j), v in table.items() if (j, i) in table
+            and v != {k: -c for k, c in table[(j, i)].items()}]
+
+    def nested(i, j, k):
+        out = {}
+        for m, c in table[(i, j)].items():
+            for r, w in table[(m, k)].items():
+                out[r] = out.get(r, 0) + c * w
+        return out
+
+    jacobi, decided = [], 0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                cyc = ((i, j, k), (j, k, i), (k, i, j))
+                if not all((a, b) in table and all((m, c) in table
+                                                   for m in table[(a, b)])
+                           for a, b, c in cyc):
+                    continue
+                decided += 1
+                total = {}
+                for a, b, c in cyc:
+                    for r, w in nested(a, b, c).items():
+                        total[r] = total.get(r, 0) + w
+                if any(total.values()):
+                    jacobi.append((i, j, k))
+    return anti, jacobi, decided
+
+
+def test_probe_l2_table_is_a_lie_bracket(request, so3_probes):
+    # so3-classical at degree 4 and the other presets at degree 3: the
+    # induced bracket is antisymmetric and satisfies Jacobi on every
+    # decided entry; one flipped sign shows as a violation
+    reps = [so3_probes[4]]
+    for preset, tower in (("dgla_identity", "dgla_tower"),
+                          ("aff1_bialgebra", "aff1_tower"),
+                          ("quasi_chi", "quasi_tower"),
+                          ("group_valued_so3", "group_tower"),
+                          ("abelian_translation", "abelian_tower")):
+        reps.append(h0_probe(request.getfixturevalue(preset),
+                             request.getfixturevalue(tower), 3))
+    triples = 0
+    for rep in reps:
+        anti, jacobi, decided = bracket_violations(rep.table, rep.dim_h0)
+        assert anti == [] and jacobi == []
+        triples += decided
+    assert triples > 1000
+    table = dict(so3_probes[4].table)
+    (i, j), v = next(((i, j), v) for (i, j), v in sorted(table.items())
+                     if v and i != j and (j, i) in table)
+    table[(i, j)] = {k: -c for k, c in v.items()}
+    anti, jacobi, _ = bracket_violations(table, so3_probes[4].dim_h0)
+    assert (i, j) in anti and (j, i) in anti and jacobi
