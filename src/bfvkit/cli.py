@@ -228,6 +228,14 @@ def run(command: str, args) -> int:
     return em.exit_code
 
 
+def non_negative_int(text: str) -> int:
+    """A bound or a count: argparse turns a negative one into a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="bfvkit",
@@ -236,13 +244,13 @@ def main(argv=None) -> int:
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--scenario", required=True,
                     help=f"preset name {PRESET_NAMES} or JSON file path")
-    ap.add_argument("--kmax", type=int, default=2,
+    ap.add_argument("--kmax", type=non_negative_int, default=2,
                     help="number of extension steps (default 2)")
-    ap.add_argument("--ansatz-degree", type=int, default=4,
+    ap.add_argument("--ansatz-degree", type=non_negative_int, default=4,
                     help="base-degree bound for linear solves (default 4)")
-    ap.add_argument("--degree", type=int, default=3,
+    ap.add_argument("--degree", type=non_negative_int, default=3,
                     help="degree bound of the H0 probe (default 3)")
-    ap.add_argument("--order", type=int, default=3,
+    ap.add_argument("--order", type=non_negative_int, default=3,
                     help="series order for bch checks (default 3)")
     ap.add_argument("--format", choices=("text", "machine"), default="text")
     ap.add_argument("--bfv0", action="store_true",

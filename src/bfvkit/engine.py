@@ -15,7 +15,8 @@ elements {Q, .} splits into the antighost-lowering Koszul part delta_V and
 the ghost-raising Chevalley-Eilenberg part delta_H.  A term of coef_b
 shifts the bidegree of F by its own bidegree minus that of z_b, so
 delta_V is the same operator with each coef_b cut to its (0, -1)-shift
-terms.  Every other term must shift by (1, 0), the delta_H direction.
+terms and delta_H the one cut to its (1, 0)-shift terms; a term of any
+other shift raises NotBihomogeneous.
 
 All exactness problems (Koszul preimages, cocycle lifts, extended-charge
 corrections) are solved by bounded linear ansatz over the monomial basis
@@ -105,35 +106,25 @@ def split_dH_dV(Q: GPoly, F: GPoly):
     Koszul direction); delta_H raises the ghost number at fixed antighost
     number (the Chevalley-Eilenberg direction).
     """
-    bids = F.ghost_support()
-    if len(bids) > 1:
+    if len(F.ghost_support()) > 1:
         raise NotBihomogeneous("input must be (ghost, antighost)-bihomogeneous")
-    if not bids:
-        return GPoly.zero(F.table), GPoly.zero(F.table)
-    g, a = bids[0]
-    image = bracket(Q, F)
-    comps = image.bidegree_components()
-    dH = comps.pop((g + 1, a), GPoly.zero(F.table))
-    dV = comps.pop((g, a - 1), GPoly.zero(F.table))
-    if comps:
-        raise NotBihomogeneous(
-            f"{{Q, F}} has unexpected bidegrees {sorted(comps)}")
-    return dH, dV
+    return delta_h(Q, F), delta_v(Q, F)
 
 
-def _koszul_operator(Q: GPoly) -> Derivation:
-    """delta_V of the charge Q: the inner derivation cut to its terms that
-    shift bidegrees by (0, -1); both are cached on Q.  A term whose shift
-    is neither (0, -1) nor (1, 0) raises NotBihomogeneous.
+def _shift_part(Q: GPoly, shift) -> Derivation:
+    """The part of {Q, .} that shifts bidegrees by ``shift``, (0, -1) for
+    delta_V and (1, 0) for delta_H: the inner derivation cut to its terms
+    of that shift; both are cached on Q.  A term whose shift is neither
+    (0, -1) nor (1, 0) raises NotBihomogeneous.
     """
     parts = inner_derivation(Q).by_shift()
-    for shift, op in parts.items():
-        if shift not in ((0, -1), (1, 0)):
+    for s, op in parts.items():
+        if s not in ((0, -1), (1, 0)):
             zb = Q.table.gen(next(iter(op.terms)))
             raise NotBihomogeneous(
-                f"{{Q, .}} shifts bidegrees by {shift} through "
+                f"{{Q, .}} shifts bidegrees by {s} through "
                 f"({Q.table.gen(zb.conjugate).name}, {zb.name})")
-    return parts.get((0, -1)) or Derivation(Q.table, {})
+    return parts.get(shift) or Derivation(Q.table, {})
 
 
 def delta_v(Q: GPoly, F: GPoly) -> GPoly:
@@ -141,16 +132,15 @@ def delta_v(Q: GPoly, F: GPoly) -> GPoly:
     bihomogeneous component of F."""
     if not F:
         return F
-    return _koszul_operator(Q)(F)
+    return _shift_part(Q, (0, -1))(F)
 
 
 def delta_h(Q: GPoly, F: GPoly) -> GPoly:
+    """The Chevalley-Eilenberg part of {Q, F}: its (1, 0)-shift part on
+    every bihomogeneous component of F."""
     if not F:
         return F
-    out = GPoly.zero(F.table)
-    for part in F.bidegree_components().values():
-        out = out + split_dH_dV(Q, part)[0]
-    return out
+    return _shift_part(Q, (1, 0))(F)
 
 
 def _reached_solve(op, target: GPoly, shapes, bounds):
@@ -203,7 +193,7 @@ def koszul_solve(S: Scenario, Q: GPoly, R: GPoly, ansatz_degree: int) -> GPoly:
     if len(bids) > 1 or len(degs) > 1:
         raise NotBihomogeneous("koszul_solve expects a bihomogeneous right side")
     shape = (degs[0] - 1, bids[0][0], bids[0][1] + 1)
-    sol, n, rank = _reached_solve(_koszul_operator(Q), R, [shape],
+    sol, n, rank = _reached_solve(_shift_part(Q, (0, -1)), R, [shape],
                                   [ansatz_degree])
     if sol is None:
         raise NotFound(f"no Koszul preimage in the bounded ansatz: shape "

@@ -30,23 +30,25 @@ and K membership is one AND against the codec's mask of the fields
 outside K.  Scaling every column by the same D leaves each kernel, span
 and residual unchanged.  Keys are relabelled once: a monomial of the
 bounded ghost 0 space by its index in that space's sorted list, any other
-key after them.  The in-span test is an integer comparison, and since
-index order is monomial order, the min-key pivots of the ``img`` and
-``reps`` solvers, and so the printed residual representatives, are
-unchanged.
+key after them, so the in-span test is an integer comparison.  The probe
+is three integer eliminations: a :func:`~bfvkit.linalg.kernel` per block
+of ghost 0 columns, one kernel of the out-of-span parts of the ghost -1
+columns, whose in-span recombinations span the image, and the min-key
+``img`` solver, which reduces the kernel vectors and then holds the
+independent residuals as representatives.  Index order is monomial order,
+so its pivots, and so the printed representatives, are the monomial
+order's.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import Counter
-from math import lcm
 
 from .basis import enumerate_monomials
 from .errors import InternalSignError, NotInLagrangian, TruncationWarning
 from .generators import LAGRANGIAN_KINDS, Kind
 from .gpoly import GPoly, bracket, inner_derivation
-from .linalg import EchelonSolver, connected_blocks
+from .linalg import EchelonSolver, connected_blocks, kernel
 
 
 def restrict_check(F: GPoly) -> GPoly:
@@ -187,16 +189,6 @@ def _k_monomials(table, total_ghost: int, max_base_degree: int) -> list:
         key=table.codec.unpack)
 
 
-def _sparse_first(vecs) -> dict:
-    """Integer labels for the keys of ``vecs``, ordered by ``(n, key)`` with
-    n the number of vectors holding the key: min-key pivots on the labels are
-    the keys that fewest columns contain (a static Markowitz count, after
-    Markowitz, Management Sci. 1957), which limits fill-in."""
-    count = Counter(k for vec in vecs for k in vec)
-    return {k: i for i, k in
-            enumerate(sorted(count, key=lambda k: (count[k], k)))}
-
-
 class ProbeReport:
     """Outcome of a bounded-degree H^0 probe."""
 
@@ -250,74 +242,50 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
             col[i] = v
         cols.append(col)
 
-    # independent blocks: columns that share a key; a ghost 0 column's keys
-    # are its image and its own monomial, so a ghost -1 column joins the
-    # ghost 0 monomials in its image
+    # ker(l_1): one kernel per block of columns that share a key; a ghost 0
+    # column's keys are its image and its own monomial, so a ghost -1
+    # column joins the ghost 0 monomials in its image.  The blocks fix the
+    # order of the kernel vectors, and so which representatives print.
     supports = [list(cols[i]) + [i] for i in range(n0)] + cols[n0:]
     kernel_vecs = []
-    image_vecs = []
     for block in connected_blocks(supports):
-        dcols = [i for i in block if i < n0]
-        icols = [i for i in block if i >= n0]
-        if not dcols:
-            continue
-        # only kernels are read from these solvers, and kernels do not
-        # depend on the pivots, so keys are relabelled to pivot sparsely
-        lab = _sparse_first([cols[i] for i in dcols])
-        es = EchelonSolver()
-        for i in dcols:
-            es.add_column(i, {lab[k]: v for k, v in cols[i].items()})
-        kernel_vecs.extend(es.kernel)
-        if icols:
-            # split image vectors into in-span and out-of-span parts; the
-            # image inside the span is generated by combinations whose
-            # out-of-span part vanishes
-            outs = [{k: v for k, v in cols[i].items() if k >= n0} for i in icols]
-            lab = _sparse_first(outs)
-            hi = EchelonSolver()
-            for i, vec in zip(icols, outs):
-                hi.add_column(i, {lab[k]: v for k, v in vec.items()})
-            # each image vector is formed in integers: only its span is read
-            for combo in hi.kernel:
-                scale = lcm(*(c.denominator for c in combo.values()))
-                vec = {}
-                for i, coef in combo.items():
-                    f = coef.numerator * (scale // coef.denominator)
-                    for k, v in cols[i].items():
-                        if k < n0:
-                            vec[k] = vec.get(k, 0) + f * v
-                vec = {k: v for k, v in vec.items() if v}
-                if vec:
-                    image_vecs.append(vec)
-
+        kernel_vecs.extend(kernel({i: cols[i] for i in block if i < n0}))
     rep.dim_kernel = len(kernel_vecs)
-    # min-key pivots: the representatives are residuals, which depend on
-    # the pivot set; index order on dom0 is monomial order
+
+    # im(l_1) inside the span: the ghost -1 combinations whose parts
+    # outside dom0 cancel.  Blocks have disjoint keys and only the span is
+    # read, so one kernel serves them all.  img pivots by min key: the
+    # representatives are residuals, which depend on the pivot set.
+    outs = {i: {k: v for k, v in cols[i].items() if k >= n0}
+            for i in range(n0, len(cols))}
     img = EchelonSolver()
-    for i, v in enumerate(image_vecs):
-        img.add_column(("img", i), v)
+    for j, (combo, _scale) in enumerate(kernel(outs)):
+        vec = {}
+        for i, f in combo.items():
+            for k, v in cols[i].items():
+                if k < n0:
+                    vec[k] = vec.get(k, 0) + f * v
+        img.add_column(("img", j), vec)
     rep.dim_image = img.rank()
 
-    # representatives: kernel vectors reduced modulo the image
-    reps = EchelonSolver()
-    rep_vecs = []
-    for vec in kernel_vecs:
-        resid = img.residual(vec)
-        if resid and reps.add_column(len(rep_vecs), resid):
-            rep_vecs.append(resid)
+    # representatives: every kernel vector is reduced modulo the image
+    # first, and a residual is then added to img if independent of the
+    # earlier ones.  It vanishes on img's pivots, and the only image vector
+    # that does is zero, so this is independence modulo the image.  A
+    # dependent one leaves its tag, which the next one reuses, in img.kernel
+    # only, which is not read.
+    for resid in [img.residual(combo, scale) for combo, scale in kernel_vecs]:
+        if resid and img.add_column(("rep", rep.dim_h0), resid):
             poly = GPoly(table, {dom0[k]: c for k, c in resid.items()})
             rep.representatives.append(poly)
             rep.projections.append(GPoly(
                 table, {m: c for m, c in poly.terms.items()
                         if poly.mono_ghost(m) == (0, 0)}))
 
-    # l_2 table on representatives, expressed modulo the image.  The
-    # representatives are residuals, independent modulo the image, so
-    # adding them to the image solver makes their coefficients unique.
-    # A value with a key outside dom0 is not in their span.
-    for i, r in enumerate(rep_vecs):
-        img.add_column(("rep", i), r)
-    position = {m: i for i, m in enumerate(dom0)}
+    # l_2 table on representatives, expressed modulo the image: img holds
+    # the representatives, independent modulo the image, so their
+    # coefficients are unique.  A value with a key outside dom0 is not in
+    # their span.
     for i, ri in enumerate(rep.representatives):
         for j, rj in enumerate(rep.representatives):
             val = tower.ell2(ri, rj)
@@ -325,8 +293,8 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
                 rep.table[(i, j)] = {}
                 continue
             sol = None
-            if all(m in position for m in val.terms):
-                sol = img.solve({position[m]: c for m, c in val.terms.items()})
+            if all(m in label for m in val.terms):
+                sol = img.solve({label[m]: c for m, c in val.terms.items()})
             if sol is None:
                 rep.closure_ok = False
                 rep.inconclusive.append((i, j))

@@ -6,10 +6,11 @@ combination tracking so that solutions are expressed in the original column
 tags.  The pivot of each new row is its minimal key.  ``kernel`` and
 ``solve`` are canonical for a fixed column order under any pivot choice: a
 dependent column yields the unique combination over the earlier independent
-columns, and a solution is the unique one over the independent columns.  So
-a caller that reads only those may relabel its keys to steer the pivots.
+columns, and a solution is the unique one over the independent columns.
 ``residual`` is the unique vector of ``target + span`` that vanishes on the
-pivot set, so it is canonical for the min-key pivots.
+pivot set, so it is canonical for the min-key pivots.  A caller that reads
+nothing but kernels may therefore pivot sparsely, and :func:`kernel` does
+so; one that reads residuals keeps the min-key pivots.
 
 Elimination runs on integer rows (fraction-free, after Bareiss, Math.
 Comp. 1968).  An incoming column or target is scaled once by the common
@@ -18,13 +19,16 @@ are primitive integer vectors with a positive pivot entry, and each step is
 ``vec <- (p/g) vec - (c/g) row`` with ``g = gcd(p, c)``.  A reduced vector
 carries one positive integer scale, so it is an exact multiple of the vector
 that elimination over Fractions would produce, with the same support at
-every step.  Division back to Fractions happens only where results leave the
-solver: in ``solve``, in ``residual`` and when appending to ``kernel``.
+every step.  A kernel vector stays integer: a primitive pair ``(combo,
+scale)`` with ``combo / scale`` the combination that has coefficient 1 on
+the dependent column, reduced as ``residual(combo, scale)``.  Division back
+to Fractions happens only in ``solve`` and ``residual``.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -43,7 +47,7 @@ class EchelonSolver:
         # pivot key -> (primitive integer row with positive pivot entry,
         #               its combination over tags, scaled alike)
         self.pivots = {}
-        self.kernel = []  # combos over tags that map to zero
+        self.kernel = []  # primitive (combo, scale) pairs that map to zero
 
     def _reduce(self, vec: dict, combo: dict, scale: int):
         """Eliminate pivot keys from the integer pair (vec, combo) in place.
@@ -95,7 +99,8 @@ class EchelonSolver:
         combo = {tag: scale}
         scale = self._reduce(vec, combo, scale)
         if not vec:
-            self.kernel.append({t: Fraction(c, scale) for t, c in combo.items()})
+            g = gcd(scale, *combo.values())
+            self.kernel.append(({t: c // g for t, c in combo.items()}, scale // g))
             return False
         pivot = min(vec)
         g = gcd(*vec.values(), *combo.values())
@@ -108,9 +113,10 @@ class EchelonSolver:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def residual(self, target: dict) -> dict:
+    def residual(self, target: dict, denominator: int = 1) -> dict:
+        """The reduced form of ``target / denominator``."""
         vec, scale = _to_integers(target)
-        scale = self._reduce(vec, {}, scale)
+        scale = self._reduce(vec, {}, scale * denominator)
         return {k: Fraction(v, scale) for k, v in vec.items()}
 
     def solve(self, target: dict):
@@ -121,6 +127,23 @@ class EchelonSolver:
         if vec:
             return None
         return {t: Fraction(-c, scale) for t, c in combo.items()}
+
+
+def kernel(columns: dict) -> list:
+    """The kernel pairs of the columns ``{tag: vec}``, added in order.
+
+    Only the kernel is read, and it does not depend on the pivots, so keys
+    are relabelled to pivot sparsely: ordered by ``(n, key)`` with n the
+    number of columns holding the key, the min-key pivots are the keys that
+    fewest columns contain (a static Markowitz count, after Markowitz,
+    Management Sci. 1957), which limits fill-in.
+    """
+    count = Counter(k for vec in columns.values() for k in vec)
+    label = {k: i for i, k in enumerate(sorted(count, key=lambda k: (count[k], k)))}
+    es = EchelonSolver()
+    for tag, vec in columns.items():
+        es.add_column(tag, {label[k]: v for k, v in vec.items()})
+    return es.kernel
 
 
 def connected_blocks(supports) -> list:

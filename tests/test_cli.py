@@ -237,6 +237,19 @@ def test_usage_error(capsys):
     assert main(["master"]) == 2  # missing --scenario
 
 
+@pytest.mark.parametrize("command, option", [
+    ("extend", "--kmax"), ("lift", "--ansatz-degree"),
+    ("probe-h0", "--degree"), ("bch", "--order")])
+def test_negative_bound_is_usage_error(capsys, command, option):
+    # a negative bound used to run no comparison and print every check as pass
+    code = main([command, "--scenario", "group-valued-so3", option, "-1",
+                 "--format", "machine"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "must be non-negative" in captured.err
+
+
 def test_charge_deg1_abelian(capsys):
     code, out = run_cli(capsys, "charge", "--scenario", "abelian-translation",
                         "--format", "machine")

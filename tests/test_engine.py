@@ -472,10 +472,12 @@ def test_delta_v_is_koszul_component_of_bracket(engine_requests):
     "1 * c1 c2",   # d/dc1 = c2 pairs with b1: shift (1, -1)
 ])
 def test_delta_v_malformed_charge(so3_classical, so3_Q, extra):
+    # delta_H is cut from the same operator and refuses the same charges
     t = so3_classical.table
     bad = so3_Q + parse(t, extra)
-    with pytest.raises(NotBihomogeneous):
-        delta_v(bad, GPoly.var(t, "b2"))
+    for op in (delta_v, delta_h):
+        with pytest.raises(NotBihomogeneous):
+            op(bad, GPoly.var(t, "b2"))
     assert delta_v(so3_Q, GPoly.var(t, "b2")) == so3_classical.psi[1]
 
 
@@ -541,7 +543,7 @@ def full_koszul_columns(S, Q, shape, ansatz_degree):
     from bfvkit.basis import enumerate_monomials
 
     fdeg, g, a = shape
-    op = engine._koszul_operator(Q)
+    op = engine._shift_part(Q, (0, -1))
     return [(mono, op(GPoly(S.table, {mono: 1})).terms)
             for mono in enumerate_monomials(S.table, fdeg, g, a, ansatz_degree)]
 

@@ -1,13 +1,14 @@
 """Derived brackets on the Lagrangian algebra and cohomology probes."""
 
 import copy
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfvkit import homotopy
+from bfvkit import homotopy, linalg
 from bfvkit.config import parse_scenario
 from bfvkit.engine import (ChargeSeries, build_charge_deg1, cocycle_lift,
                            extend_charge)
@@ -22,6 +23,7 @@ from bfvkit.linalg import EchelonSolver
 from bfvkit.liedata import preset_lie
 from bfvkit.presets import load_preset
 from bfvkit.scenario import Scenario
+from test_linalg import FractionEchelonSolver
 
 
 def tower_for(scenario, kmax=2, ansatz=4):
@@ -440,8 +442,9 @@ def test_ell1_is_bracket_with_charge(so3_tower, quasi_tower, aff1_tower,
 
 def _reference_h0_probe(tower, degree_bound):
     """The probe before the monomial kernel: columns from the full bracket,
-    blocks from a union-find, solvers on tuple keys (min-key pivots in
-    tuple order)."""
+    blocks from a union-find, and the reference solver of the linalg tests,
+    elimination over Fractions, on tuple keys (min-key pivots in tuple
+    order)."""
     table = tower.table
     Q = tower.series.Q
     unpack, pack = table.codec.unpack, table.codec.pack
@@ -495,12 +498,12 @@ def _reference_h0_probe(tower, degree_bound):
     image_vecs = []
     for _root, (dmonos, imonos) in sorted(blocks.items(),
                                           key=lambda kv: kv[1][0][0]):
-        es = EchelonSolver()
+        es = FractionEchelonSolver()
         for m in dmonos:
             es.add_column(unpack(m), tup(d0[m]))
         kernel_vecs.extend(es.kernel)
         if imonos:
-            hi = EchelonSolver()
+            hi = FractionEchelonSolver()
             for m in imonos:
                 hi.add_column(m, {unpack(k): v for k, v in dm[m].terms.items()
                                   if k not in low})
@@ -512,11 +515,11 @@ def _reference_h0_probe(tower, degree_bound):
                     image_vecs.append(tup(vec))
 
     rep.dim_kernel = len(kernel_vecs)
-    img = EchelonSolver()
+    img = FractionEchelonSolver()
     for i, v in enumerate(image_vecs):
         img.add_column(("img", i), v)
     rep.dim_image = img.rank()
-    reps = EchelonSolver()
+    reps = FractionEchelonSolver()
     for vec in kernel_vecs:
         resid = img.residual(vec)
         if resid and reps.add_column(len(rep.representatives), resid):
@@ -619,29 +622,29 @@ def test_h0_probe_matches_reference(request, preset, tower_name, degree):
 
 
 def probe_kernel_solvers(monkeypatch, S, tower, degree):
-    """The solvers that h0_probe eliminates its kernel blocks with, each
-    with the tags it was given and the columns before relabelling; each
-    labelling is made from the columns just before its solver."""
-    labelled, seen = [], {}
-    real_labels = homotopy._sparse_first
-    real_add = EchelonSolver.add_column
+    """The solver of each ``linalg.kernel`` that h0_probe takes, with the
+    columns that the kernel was given, before its relabelling."""
+    given, made = [], []
+    real_kernel = homotopy.kernel
 
-    def recording_labels(vecs):
-        labelled.append(vecs)
-        return real_labels(vecs)
+    class Recording(EchelonSolver):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
 
-    def recording_add(self, tag, vec):
-        seen.setdefault(id(self), (self, []))[1].append(tag)
-        return real_add(self, tag, vec)
+    def recording_kernel(columns):
+        given.append(list(columns.items()))
+        return real_kernel(columns)
 
-    monkeypatch.setattr(homotopy, "_sparse_first", recording_labels)
-    monkeypatch.setattr(EchelonSolver, "add_column", recording_add)
+    monkeypatch.setattr(linalg, "EchelonSolver", Recording)
+    monkeypatch.setattr(homotopy, "kernel", recording_kernel)
     h0_probe(S, tower, degree)
     monkeypatch.undo()
-    solvers = list(seen.values())
-    assert solvers[len(labelled)][1][0] == ("img", 0)
-    return [(es, list(zip(tags, vecs)))
-            for (es, tags), vecs in zip(solvers, labelled)]
+    # one solver per kernel, holding just that kernel's columns
+    assert len(made) == len(given)
+    assert all(es.rank() + len(es.kernel) == len(cols)
+               for es, cols in zip(made, given))
+    return list(zip(made, given))
 
 
 @pytest.mark.parametrize("preset, tower_name, degree", [
@@ -653,7 +656,8 @@ def test_probe_sparse_pivot_kernels_match_min_key(request, monkeypatch, preset,
     S = request.getfixturevalue(preset)
     tower = request.getfixturevalue(tower_name)
     solvers = probe_kernel_solvers(monkeypatch, S, tower, degree)
-    assert len(solvers) > 100
+    # the columns compared: one solver now holds every ghost -1 column
+    assert sum(len(cols) for _es, cols in solvers) > 900
     for es, cols in solvers:
         plain = EchelonSolver()
         for tag, vec in cols:
@@ -662,11 +666,42 @@ def test_probe_sparse_pivot_kernels_match_min_key(request, monkeypatch, preset,
 
 
 def test_probe_kernel_pivots_reduce_fill(so3_classical, so3_tower, monkeypatch):
-    # min-key pivots store 20,273 row entries on these blocks
+    # min-key pivots store 25,734 row entries on these kernels, and the
+    # sparse-first pivots of linalg.kernel 15,454
     solvers = probe_kernel_solvers(monkeypatch, so3_classical, so3_tower, 3)
     stored = sum(len(row) for es, _cols in solvers
                  for row, _c in es.pivots.values())
     assert stored < 20273
+
+
+def test_probe_on_a_hand_made_l1(so3_classical):
+    # l_1 is zero on ghost 0 and sends three ghost -1 monomials to
+    # e0 + e1 + e2, e3 + X and e4 + X, with e_i = dom0[i] and X = x1^2 just
+    # beyond the bound; X is the first key outside dom0, labelled n0
+    t = so3_classical.table
+    dom0, domm = _k_monomials(t, 0, 1), _k_monomials(t, -1, 1)
+    e = dict(enumerate(dom0))
+    (X,) = parse(t, "1 * x1^2").terms
+    images = {domm[0]: {e[0]: 1, e[1]: 1, e[2]: 1},
+              domm[1]: {e[3]: 1, X: 1}, domm[2]: {e[4]: 1, X: 1}}
+
+    class HandMade:
+        table = t
+        ad_q = types.SimpleNamespace(
+            apply=lambda terms: dict(images.get(next(iter(terms)), {})))
+
+        def ell2(self, f, g):
+            return GPoly.zero(t)
+
+    rep = h0_probe(so3_classical, HandMade(), 1)
+    # the image inside the span is e0 + e1 + e2 and e3 - e4, where X cancels
+    assert (rep.dim_space, rep.dim_kernel, rep.dim_image) == (len(dom0),) * 2 + (2,)
+    # each kernel vector e_i is reduced modulo the image alone: e1 stays e1,
+    # independent of -e1 - e2; e2 and e4 depend on the earlier residuals
+    want = [{e[1]: -1, e[2]: -1}, {e[1]: 1}, {e[4]: 1}] + [
+        {e[i]: 1} for i in range(5, len(dom0))]
+    assert [r.terms for r in rep.representatives] == want
+    assert rep.closure_ok and all(not v for v in rep.table.values())
 
 
 def test_restrict_check_names_first_offender(so3_classical):

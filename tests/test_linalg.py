@@ -2,12 +2,13 @@
 
 import heapq
 from fractions import Fraction
+from math import gcd
 
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfvkit.linalg import EchelonSolver
+from bfvkit.linalg import EchelonSolver, kernel
 
 
 def _solver(cols):
@@ -39,12 +40,19 @@ def test_solve_inconsistent_system():
     assert _solver(cols).solve({2: Fraction(1)}) is None
 
 
+def as_fractions(pairs):
+    """Kernel pairs read as combinations with coefficient 1 on the dependent
+    column."""
+    return [{t: Fraction(c, scale) for t, c in combo.items()}
+            for combo, scale in pairs]
+
+
 def test_kernel_vectors_annihilate():
     cols = [(i, {0: Fraction(i + 1), 1: Fraction(2 * (i + 1))}) for i in range(4)]
     kers = _solver(cols).kernel
     assert len(kers) == 3
     lookup = dict(cols)
-    for combo in kers:
+    for combo in as_fractions(kers):
         acc = {}
         for tag, coef in combo.items():
             for k, v in lookup[tag].items():
@@ -127,6 +135,9 @@ class FractionEchelonSolver:
                               {k: c * inv for k, c in combo.items()})
         return True
 
+    def rank(self):
+        return len(self.pivots)
+
     def residual(self, target):
         vec, _ = self._reduce(dict(target), {})
         return vec
@@ -194,10 +205,12 @@ def test_echelon_matches_oracles(system):
     rank = sympy_rank(vecs)
     assert es.rank() == rank
     assert len(es.kernel) == len(columns) - rank
-    for combo in es.kernel:
-        assert all(isinstance(c, Fraction) for c in combo.values())
+    for combo, scale in es.kernel:
+        assert all(type(c) is int for c in combo.values())
+        assert type(scale) is int and scale > 0
+        assert gcd(scale, *combo.values()) == 1
         assert combine(columns, combo) == {}
-    assert es.kernel == ref.kernel
+    assert as_fractions(es.kernel) == ref.kernel
 
     sol = es.solve(target)
     consistent = sympy_rank(vecs + [target]) == rank
@@ -221,3 +234,23 @@ def test_relabelled_keys_keep_kernel_and_solve(system, order):
     assert es.kernel == plain.kernel
     assert (es.solve({order[k]: v for k, v in target.items()})
             == plain.solve(target))
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(), st.permutations(range(ROWS)), st.integers(1, 10**6))
+def test_kernel_pairs_and_scaled_residuals_match_fraction_oracle(system, order,
+                                                                 denominator):
+    # linalg.kernel relabels the keys itself: its pairs match the oracle's
+    # min-key kernels under any relabelling of the keys given to it
+    columns, target = system
+    ref = FractionEchelonSolver()
+    for tag, vec in columns:
+        ref.add_column(tag, vec)
+    pairs = kernel({tag: {order[k]: v for k, v in vec.items()}
+                    for tag, vec in columns})
+    assert as_fractions(pairs) == ref.kernel
+    es = _solver(columns)
+    want = {k: v / denominator for k, v in ref.residual(target).items()}
+    assert es.residual(target, denominator) == want
+    assert es.residual(target, denominator) == {
+        k: v / denominator for k, v in es.residual(target).items()}
