@@ -1,7 +1,8 @@
 """Enumeration of graded monomials under degree and ghost constraints.
 
-Used to pose the cofactor spaces of ideal-membership solves; Koszul and
-lift systems pose only the part of such a space that their target reaches
+Used to pose the bounded spaces of the H^0 probe (:mod:`bfvkit.homotopy`);
+Koszul, lift, ideal-membership and class-equality systems enumerate no
+space and pose only the part of one that their target reaches
 (:mod:`bfvkit.engine`).  Base generators (degree 0, no ghost numbers) are
 enumerated by total polynomial degree up to a cap; all other generators
 are constrained by the requested function degree and (ghost, antighost)

@@ -270,8 +270,10 @@ def main(argv=None) -> int:
         return 3
     except BfvError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        # bch takes group-valued scenarios only: any other is a usage error
-        if isinstance(exc, ShapeMismatch) and args.command == "bch":
+        # bch takes group-valued scenarios only, and charge/master --bfv0
+        # one J0 entry per g generator: any other is a usage error
+        bfv0 = args.bfv0 and args.command in ("charge", "master")
+        if isinstance(exc, ShapeMismatch) and (args.command == "bch" or bfv0):
             return 2
         return 1
     if args.format == "text":

@@ -92,6 +92,14 @@ def _chi_complete(table):
     return out
 
 
+def _bound(doc, key):
+    """A bound of the document: a non-negative int, and not a bool."""
+    v = doc.get(key, 4)
+    if type(v) is not int or v < 0:
+        raise SchemaError(key, f"must be a non-negative integer, got {v!r}")
+    return v
+
+
 def parse_scenario(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document; shape-checked."""
     unknown = set(doc) - _TOP_KEYS
@@ -187,8 +195,8 @@ def parse_scenario(doc: dict) -> Scenario:
     scenario = Scenario(
         kind=kind, n=n, table=table, pi=pi, psi=psi, J0=J0, lie=L,
         module=module, dgla=dgla, bialgebra=bialgebra, quasi=quasi,
-        truncation_order=int(doc.get("truncation_order", 4)),
-        degree_bound=int(doc.get("degree_bound", 4)),
+        truncation_order=_bound(doc, "truncation_order"),
+        degree_bound=_bound(doc, "degree_bound"),
         assumptions=dict(doc.get("assumptions") or {}),
         phi=phi, basis_matrices=basis_matrices, sample_points=sample_points,
         quasi_master_mode=mode, name=doc.get("name", "scenario"))

@@ -37,7 +37,7 @@ from .generators import Kind
 from .gpoly import (Derivation, GPoly, bracket, derivation_sources,
                     inner_derivation)
 from .linalg import EchelonSolver
-from .scenario import Scenario, assemble_constraints
+from .scenario import Scenario, constraint_charge
 
 
 def _ghost_cubics(table, entries, key, *kinds):
@@ -72,18 +72,10 @@ def build_charge_deg0(L, J, table) -> GPoly:
 
 def build_charge_deg1(S: Scenario) -> GPoly:
     """The four-term degree-one charge of the scenario's reduction data."""
-    cs = assemble_constraints(S)
     table = S.table
     if table.preset != "BFV1":
         raise PresetMismatch("build_charge_deg1 requires a BFV1 table")
-    cg = table.ids_of_kind(Kind.GHOST_G)
-    ch = table.ids_of_kind(Kind.GHOST_H)
-    Q = GPoly.zero(table)
-    for i, p in enumerate(cs.deg1):
-        Q = Q + p * GPoly.gen(table, cg[i])
-    for j, p in enumerate(cs.deg0):
-        Q = Q + p * GPoly.gen(table, ch[j])
-    Q = Q - Fraction(1, 2) * _ghost_cubics(
+    Q = constraint_charge(S) - Fraction(1, 2) * _ghost_cubics(
         table, S.lie.c, "lie.c", Kind.GHOST_G, Kind.GHOST_G, Kind.ANTIGHOST_G)
     if S.module:
         Q = Q - _ghost_cubics(table, S.module.d, "lie.d",
@@ -150,7 +142,8 @@ def _reached_solve(op, target: GPoly, shapes, bounds):
     of the target or of a posed column are posed: the blocks of the full
     system that the target touches, in its column order (shape, then
     monomial), so the solution is the full system's.  Returns (solution or
-    None, columns, rank); each column's image is computed once.
+    None, {posed monomial: image}, rank), each image the integers
+    D * op(m) of ``op.apply``, computed once.
     """
     order = {shape: i for i, shape in enumerate(shapes)}
     codec = target.table.codec
@@ -179,7 +172,7 @@ def _reached_solve(op, target: GPoly, shapes, bounds):
         sol = es.solve(scaled)
         if sol is not None:
             break
-    return sol, len(columns), es.rank()
+    return sol, {m: images[m] for m in columns}, es.rank()
 
 
 def koszul_solve(S: Scenario, Q: GPoly, R: GPoly, ansatz_degree: int) -> GPoly:
@@ -193,11 +186,12 @@ def koszul_solve(S: Scenario, Q: GPoly, R: GPoly, ansatz_degree: int) -> GPoly:
     if len(bids) > 1 or len(degs) > 1:
         raise NotBihomogeneous("koszul_solve expects a bihomogeneous right side")
     shape = (degs[0] - 1, bids[0][0], bids[0][1] + 1)
-    sol, n, rank = _reached_solve(_shift_part(Q, (0, -1)), R, [shape],
-                                  [ansatz_degree])
+    sol, cols, rank = _reached_solve(_shift_part(Q, (0, -1)), R, [shape],
+                                     [ansatz_degree])
     if sol is None:
         raise NotFound(f"no Koszul preimage in the bounded ansatz: shape "
-                       f"{shape}, {n} columns, rank {rank}", ansatz_degree)
+                       f"{shape}, {len(cols)} columns, rank {rank}",
+                       ansatz_degree)
     P = GPoly(S.table, {m: c for m, c in sol.items() if c})
     if delta_v(Q, P) != R:
         raise NotFound("bounded Koszul solve failed verification", ansatz_degree)
@@ -281,13 +275,14 @@ def cocycle_lift(S: Scenario, Q: GPoly, ansatz_degree: int = 4) -> GPoly:
     target = -bracket(Q, pi)
     sol = {}
     if target:
-        sol, n, rank = _reached_solve(
+        sol, cols, rank = _reached_solve(
             inner_derivation(Q), target,
             [(2, g, g) for g in range(1, S.dim_h + 3)], range(ansatz_degree + 1))
     if sol is None:
         raise LiftNotFound(
             f"no cocycle lift in the bounded ansatz: shapes (2, g, g) for g "
-            f"in 1..{S.dim_h + 2}, {n} columns, rank {rank}", ansatz_degree)
+            f"in 1..{S.dim_h + 2}, {len(cols)} columns, rank {rank}",
+            ansatz_degree)
     Pi = pi + GPoly(table, {m: c for m, c in sol.items() if c})
     if bracket(Q, Pi):
         raise LiftNotFound("cocycle lift failed verification", ansatz_degree)

@@ -45,6 +45,7 @@ from __future__ import annotations
 import warnings
 
 from .basis import enumerate_monomials
+from .engine import _reached_solve
 from .errors import InternalSignError, NotInLagrangian, TruncationWarning
 from .generators import LAGRANGIAN_KINDS, Kind
 from .gpoly import GPoly, bracket, inner_derivation
@@ -308,16 +309,18 @@ def class_equals(scenario, tower: BracketTower, degree_bound: int,
                  value: GPoly, expected: GPoly) -> bool:
     """Whether value and expected define the same class modulo im(l_1).
 
-    The difference is posed as an image of a ghost -1 element of base
-    degree up to the difference's own degree plus the bound.
+    The difference is posed as l_1 of a ghost -1 element of K of base
+    degree up to the bound or the difference's own: one reached solve over
+    the shapes (-1, g, g + 1), which lie in K.  Every posed column is an
+    l_1 value and is checked to lie in K.
     """
     diff = value - expected
     if not diff:
         return True
     bound = max(degree_bound, diff.max_base_degree())
-    es = EchelonSolver()
-    for m in _k_monomials(tower.table, -1, bound):
-        img = tower.l1_image(GPoly(tower.table, {m: 1}))
-        if img:
-            es.add_column(m, img.terms)
-    return es.solve(diff.terms) is not None
+    dim_g = len(tower.table.ids_of_kind(Kind.GHOST_G))
+    sol, cols, _rank = _reached_solve(
+        tower.ad_q, diff, [(-1, g, g + 1) for g in range(dim_g + 1)], [bound])
+    for image in cols.values():
+        _checked(GPoly(tower.table, image))
+    return sol is not None

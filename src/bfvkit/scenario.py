@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .basis import enumerate_monomials
 from .errors import BfvError, NotNearIdentity, RankDeficient, ShapeMismatch
 from .generators import GeneratorTable, Kind
 from .gpoly import GPoly, bracket, mul_into
@@ -140,6 +139,17 @@ def assemble_constraints(S: Scenario) -> ConstraintSet:
     return ConstraintSet(deg1=psi, deg0=J0)
 
 
+def constraint_charge(S: Scenario) -> GPoly:
+    """psi_i c_i + J0_j C_j over the assembled constraints: the part of the
+    charge whose delta_V sends b_i to psi_i and B_j to J0_j."""
+    cs = assemble_constraints(S)
+    K = GPoly.zero(S.table)
+    for kind, gens in ((Kind.GHOST_G, cs.deg1), (Kind.GHOST_H, cs.deg0)):
+        for i, g in enumerate(gens, start=1):
+            K = K + g * S.gen(kind, i)
+    return K
+
+
 def check_equivariance(S: Scenario) -> ValidationReport:
     """{psi_i, psi_j} = c^{ij}_k psi_k and psi_i(J0_j) = d^{ij}_p J0_p, exactly.
 
@@ -189,58 +199,35 @@ def check_equivariance(S: Scenario) -> ValidationReport:
 def ideal_membership(S: Scenario, target: GPoly, bound: int | None = None):
     """Cofactors h_g with target = sum h_g * g over the constraint ideal.
 
-    The generators are those of ``assemble_constraints(S)``.  Each
-    function-degree component of the target is solved on its own over
-    cofactor monomials in base/fiber generators, escalating the base
-    degree: the columns ``mono * g`` whose monomial has base degree exactly
-    b join one growing solver for b = 0, 1, ..., ``bound``, and the first
-    consistent system answers.  Returns a list of cofactor GPolys parallel
-    to the generators, checked to rebuild the target with base degree at
-    most ``bound``, or None when the system at the full ``bound`` is
-    inconsistent.
+    The generators g are those of ``assemble_constraints(S)``.  delta_V of
+    ``constraint_charge(S)`` sends the antighost a_g of g (b_i for psi_i,
+    B_j for J0_j) to g and kills base and fiber functions, so the target
+    is in the ideal exactly when it is delta_V of a sum P of monomials
+    h * a_g, h base/fiber: one Koszul solve over the columns it reaches, of
+    base degree at most ``bound``.  delta_V is odd, so the cofactor of g is
+    (-1)^|h| h over the terms h of dP/da_g|R.  Returns the cofactors,
+    parallel to the generators and checked to rebuild the target, or None
+    when the bounded system is inconsistent.
     """
+    from .engine import _reached_solve, _shift_part
+
     bound = S.degree_bound if bound is None else bound
     table = S.table
-    gens = assemble_constraints(S).generators
-    parts = {}
-    for m, c in target.terms.items():
-        parts.setdefault(target.mono_degree(m), {})[m] = c
-    cof = [{} for _ in gens]
-    for fdeg, part in parts.items():
-        sol = _escalate_membership(table, gens, fdeg, part, bound)
-        if sol is None:
-            return None
-        for (gi, mono), coef in sol.items():
-            cof[gi][mono] = coef
-    cof = [GPoly(table, h) for h in cof]
+    sol, _cols, _rank = _reached_solve(
+        _shift_part(constraint_charge(S), (0, -1)), target,
+        [(d - 1, 0, 1) for d in target.degree_support()], [bound])
+    if sol is None:
+        return None
+    ags = table.ids_of_kind(Kind.ANTIGHOST_G) + table.ids_of_kind(Kind.ANTIGHOST_H)
+    dP = GPoly(table, {m: c for m, c in sol.items() if c}).partials("right", ags)
+    cof = [GPoly(table, {m: -c if dP[a].mono_degree(m) % 2 else c
+                         for m, c in dP[a].terms.items()}) for a in ags]
     rebuilt = GPoly.zero(table)
-    for h, g in zip(cof, gens):
+    for h, g in zip(cof, assemble_constraints(S).generators):
         rebuilt = rebuilt + h * g
     if rebuilt != target or any(h.max_base_degree() > bound for h in cof):
         raise BfvError("ideal membership cofactors failed verification")
     return cof
-
-
-def _escalate_membership(table, gens, fdeg, target_terms, bound):
-    """Solution over (generator index, monomial) tags for a target of
-    function degree ``fdeg``, at the least base-degree bound that solves."""
-    degs = [g.degree() if g else None for g in gens]
-    es = EchelonSolver()
-    for b in range(bound + 1):
-        for gi, g in enumerate(gens):
-            if degs[gi] is None or degs[gi] > fdeg:
-                continue
-            for mono in enumerate_monomials(table, fdeg - degs[gi], 0, 0, b,
-                                            kinds={Kind.BASE, Kind.FIBER}):
-                if table.codec.base_degree(mono) != b:
-                    continue
-                col = (GPoly(table, {mono: Fraction(1)}) * g).terms
-                if col:
-                    es.add_column((gi, mono), col)
-        sol = es.solve(target_terms)
-        if sol is not None:
-            return sol
-    return None
 
 
 def check_compatibility(S: Scenario, bound: int | None = None) -> ValidationReport:

@@ -250,6 +250,38 @@ def test_negative_bound_is_usage_error(capsys, command, option):
     assert "must be non-negative" in captured.err
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("so3-classical", "degree_bound", "abc"),
+    ("so3-classical", "degree_bound", 2.7),
+    ("so3-classical", "degree_bound", -1),
+    ("group-valued-so3", "truncation_order", -1)])
+def test_document_bound_must_be_non_negative_int(tmp_path, capsys, name, key,
+                                                 value):
+    # a bound that is not a non-negative int would otherwise reach the
+    # solvers: int("abc") raises, 2.7 truncates and -1 poses no column
+    doc = load_preset(name)
+    doc[key] = value
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", "--scenario", str(path), "--format", "machine"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"key '{key}': must be a non-negative integer" in captured.err
+
+
+@pytest.mark.parametrize("name", ["aff1-bialgebra", "quasi-chi",
+                                  "abelian-translation", "group-valued-so3"])
+@pytest.mark.parametrize("command", ["charge", "master"])
+def test_bfv0_without_one_moment_per_generator_is_usage_error(capsys, name,
+                                                              command):
+    code = main([command, "--scenario", name, "--bfv0", "--format", "machine"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "one moment component per Lie algebra generator" in captured.err
+
+
 def test_charge_deg1_abelian(capsys):
     code, out = run_cli(capsys, "charge", "--scenario", "abelian-translation",
                         "--format", "machine")

@@ -440,6 +440,48 @@ def test_ell1_is_bracket_with_charge(so3_tower, quasi_tower, aff1_tower,
     assert tower.ell1(F) == bracket(tower.series.Q, F)
 
 
+def full_class_equals(tower, degree_bound, value, expected):
+    """class_equals before the reach: l_1 of every ghost -1 monomial of K
+    up to the bound, each checked to lie in K, in one solver."""
+    diff = value - expected
+    if not diff:
+        return True
+    bound = max(degree_bound, diff.max_base_degree())
+    es = EchelonSolver()
+    for m in _k_monomials(tower.table, -1, bound):
+        img = tower.l1_image(GPoly(tower.table, {m: 1}))
+        if img:
+            es.add_column(m, img.terms)
+    return es.solve(diff.terms) is not None
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_class_equals_matches_full_enumeration(so3_classical, so3_tower,
+                                               dgla_identity, dgla_tower, data):
+    # half the differences are l_1 of a ghost -1 element, so exact; the
+    # others add a random ghost 0 element
+    S, tower = data.draw(st.sampled_from(
+        [(so3_classical, so3_tower), (dgla_identity, dgla_tower)]))
+    bound = data.draw(st.integers(0, 2))
+    coefs = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
+
+    def element(total_ghost):
+        monos = _k_monomials(S.table, total_ghost, bound)
+        return GPoly(S.table, data.draw(st.dictionaries(
+            st.sampled_from(monos), coefs, min_size=1, max_size=3)))
+
+    value = element(0)
+    exact = data.draw(st.booleans())
+    diff = tower.ell1(element(-1))
+    if not exact:
+        diff = diff + element(0)
+    expected = value - diff
+    got = class_equals(S, tower, bound, value, expected)
+    assert got == full_class_equals(tower, bound, value, expected)
+    assert got or not exact
+
+
 def _reference_h0_probe(tower, degree_bound):
     """The probe before the monomial kernel: columns from the full bracket,
     blocks from a union-find, and the reference solver of the linalg tests,
@@ -727,8 +769,11 @@ def test_l1_leaving_lagrangian_raises(so3_classical, so3_tower):
     # in monomial order, is that of a c1 B_j
     with pytest.raises(InternalSignError, match="at e1$"):
         h0_probe(so3_classical, bad, 1)
-    with pytest.raises(InternalSignError):
-        class_equals(so3_classical, bad, 1, parse(t, "1 * x1"), GPoly.zero(t))
+    # class_equals checks every column it poses: this difference reaches
+    # c1 c2 B1 B2 B3, whose l_1 holds the term e1 c2 B1 B2 B3 outside K
+    with pytest.raises(InternalSignError, match="at e1$"):
+        class_equals(so3_classical, bad, 1,
+                     parse(t, "1 * x2 x6 c1 c2 B2 B3"), GPoly.zero(t))
     # inputs outside K are still rejected before l_1 is applied
     with pytest.raises(NotInLagrangian):
         so3_tower.ell1(parse(t, "1 * e1"))

@@ -134,26 +134,24 @@ def recorded_columns(monkeypatch):
 
 
 def test_compatibility_poses_only_needed_columns(so3_classical, monkeypatch):
-    # every {pi, g} target solves at base degree 0, so at degree_bound 4 no
-    # cofactor monomial of higher base degree is ever posed
+    # every {pi, g} target is reached from base degree 0 columns, so at
+    # degree_bound 4 no cofactor monomial of higher base degree is posed
     S = copy.deepcopy(so3_classical)
     S.degree_bound = 4
     seen = recorded_columns(monkeypatch)
     assert check_compatibility(S).passed
     assert seen
-    assert all(GPoly(S.table, {mono: 1}).max_base_degree() == 0
-               for _gi, mono in seen)
+    assert all(S.table.codec.base_degree(mono) == 0 for mono in seen)
 
 
 def test_undecided_membership_poses_each_column_once(monkeypatch):
-    # the document of the CLI's undecided exit-code test
+    # e1 + e2 reaches the one column b1 (delta_V b1 = e2), which leaves e1
+    # unsolved: the bounded system is posed and inconsistent
     doc = load_preset("abelian-translation")
-    doc["pi"] = "1 * x1^2 x2 e1 e2"
     doc["degree_bound"] = 0
     S = parse_scenario(doc)
     seen = recorded_columns(monkeypatch)
-    rep = check_compatibility(S)
-    assert [c.name for c in rep.undecided] == ["normalizer.psi1"]
+    assert ideal_membership(S, parse(S.table, "1 * e1 + 1 * e2")) is None
     assert seen and len(seen) == len(set(seen))
 
 

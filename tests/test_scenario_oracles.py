@@ -1,10 +1,11 @@
 """Oracles for the scenario checks that size their work to the answer.
 
-``ideal_membership`` escalates the base degree of its cofactors and
-``mat_mul`` multiplies truncated series.  Both are compared here with the
-straightforward versions they replace, kept below as copies: a one-shot
-``BlockEchelon`` solve at the full bound, and full matrix products
-truncated afterwards.
+``ideal_membership`` is a Koszul solve over the cofactor columns that its
+target reaches, and ``mat_mul`` multiplies truncated series.  Both are
+compared here with the straightforward versions they replace, kept below
+as copies: a one-shot ``BlockEchelon`` solve over every column
+``mono * g`` at the full bound, and full matrix products truncated
+afterwards.
 """
 
 import copy
@@ -208,7 +209,7 @@ def ref_bch_transport_check(S, order):
 # -- ideal membership ------------------------------------------------------
 
 MEMBERSHIP_PRESETS = ("so3-classical", "dgla-identity", "aff1-bialgebra",
-                      "group-valued-so3")
+                      "group-valued-so3", "quasi-chi", "abelian-translation")
 
 
 @functools.lru_cache(maxsize=None)
