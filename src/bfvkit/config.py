@@ -64,7 +64,7 @@ def _sparse(entries, arity, key):
     for row in entries or ():
         if len(row) != arity + 1:
             raise SchemaError(key, f"expected {arity} indices and a value: {row!r}")
-        idx = tuple(int(i) for i in row[:arity])
+        idx = tuple(_int(i, key) for i in row[:arity])
         out[idx] = _rat(row[arity], key)
     return out
 
@@ -92,11 +92,12 @@ def _chi_complete(table):
     return out
 
 
-def _bound(doc, key):
-    """A bound of the document: a non-negative int, and not a bool."""
-    v = doc.get(key, 4)
-    if type(v) is not int or v < 0:
-        raise SchemaError(key, f"must be a non-negative integer, got {v!r}")
+def _int(v, key, least=None):
+    """An integer of the document: an int, not a bool, and at least
+    ``least`` (0 or 1) when that is given."""
+    if type(v) is not int or least is not None and v < least:
+        kind = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
+        raise SchemaError(key, f"must be {kind} integer, got {v!r}")
     return v
 
 
@@ -111,15 +112,13 @@ def parse_scenario(doc: dict) -> Scenario:
     kind = doc["kind"]
     if kind not in KINDS:
         raise SchemaError("kind", f"must be one of {KINDS}")
-    n = int(doc["n"])
+    n = _int(doc["n"], "n", 0)
     lie_doc = doc["lie"]
     unknown = set(lie_doc) - _LIE_KEYS
     if unknown:
         raise SchemaError(f"lie.{sorted(unknown)[0]}", "unknown key")
-    dim_g = int(lie_doc.get("dim_g", 0))
-    dim_h = int(lie_doc.get("dim_h", 0))
-    if dim_g < 1:
-        raise SchemaError("lie.dim_g", "must be a positive integer")
+    dim_g = _int(lie_doc.get("dim_g", 0), "lie.dim_g", 1)
+    dim_h = _int(lie_doc.get("dim_h", 0), "lie.dim_h", 0)
 
     L = LieAlgebraData(dim_g, _antisym_complete(
         _sparse(lie_doc.get("c"), 3, "lie.c"),
@@ -195,8 +194,8 @@ def parse_scenario(doc: dict) -> Scenario:
     scenario = Scenario(
         kind=kind, n=n, table=table, pi=pi, psi=psi, J0=J0, lie=L,
         module=module, dgla=dgla, bialgebra=bialgebra, quasi=quasi,
-        truncation_order=_bound(doc, "truncation_order"),
-        degree_bound=_bound(doc, "degree_bound"),
+        truncation_order=_int(doc.get("truncation_order", 4), "truncation_order", 0),
+        degree_bound=_int(doc.get("degree_bound", 4), "degree_bound", 0),
         assumptions=dict(doc.get("assumptions") or {}),
         phi=phi, basis_matrices=basis_matrices, sample_points=sample_points,
         quasi_master_mode=mode, name=doc.get("name", "scenario"))
@@ -217,4 +216,5 @@ def load_document(path_or_text: str) -> dict:
 
 
 def bfv0_pairs(doc: dict):
-    return [tuple(int(v) for v in pair) for pair in doc.get("bfv0_pairs") or []]
+    return [tuple(_int(v, "bfv0_pairs") for v in pair)
+            for pair in doc.get("bfv0_pairs") or []]

@@ -25,29 +25,29 @@ kernel of :mod:`bfvkit.gpoly` that also builds the ansatz columns of
 :mod:`bfvkit.engine`.  Every l_k value is checked to lie in K; one that
 leaves it raises InternalSignError.
 
-The H^0 probe runs on the kernel's integers: each column is D * l_1(m),
-and K membership is one AND against the codec's mask of the fields
-outside K.  Scaling every column by the same D leaves each kernel, span
-and residual unchanged.  Keys are relabelled once: a monomial of the
-bounded ghost 0 space by its index in that space's sorted list, any other
-key after them, so the in-span test is an integer comparison.  The probe
-is three integer eliminations: a :func:`~bfvkit.linalg.kernel` per block
-of ghost 0 columns, one kernel of the out-of-span parts of the ghost -1
-columns, whose in-span recombinations span the image, and the min-key
-``img`` solver, which reduces the kernel vectors and then holds the
-independent residuals as representatives.  Index order is monomial order,
-so its pivots, and so the printed representatives, are the monomial
-order's.
+The H^0 probe lists its spaces of K directly (:func:`_k_monomials`) and
+runs on the kernel's integers: each column is D * l_1(m), and K membership
+is one AND against the codec's mask of the fields outside K.  Scaling
+every column by the same D leaves each kernel, span and residual
+unchanged.  Keys are relabelled once: a monomial of the bounded ghost 0
+space by its index in that space's sorted list, any other key after them,
+so the in-span test is an integer comparison.  The probe is three integer
+eliminations: a :func:`~bfvkit.linalg.kernel` per block of ghost 0
+columns, one kernel of the out-of-span parts of the ghost -1 columns,
+whose in-span recombinations span the image, and the min-key ``img``
+solver, which reduces the kernel vectors and then holds the independent
+residuals as representatives.  Index order is monomial order, so its
+pivots, and so the printed representatives, are the monomial order's.
 """
 
 from __future__ import annotations
 
 import warnings
+from itertools import combinations, combinations_with_replacement, groupby
 
-from .basis import enumerate_monomials
 from .engine import _reached_solve
 from .errors import InternalSignError, NotInLagrangian, TruncationWarning
-from .generators import LAGRANGIAN_KINDS, Kind
+from .generators import Kind
 from .gpoly import GPoly, bracket, inner_derivation
 from .linalg import EchelonSolver, connected_blocks, kernel
 
@@ -180,14 +180,25 @@ def homotopy_jacobi_residual(tower: BracketTower, f, g, h) -> GPoly:
 
 
 def _k_monomials(table, total_ghost: int, max_base_degree: int) -> list:
-    """Monomials of K with the given total ghost number and base degree at
-    most ``max_base_degree``, in tuple order.  On K the function degree is
-    the total ghost number, so these are the shapes (total_ghost, g,
-    g - total_ghost) over the g-ghost count g."""
-    dim_g = len(table.ids_of_kind(Kind.GHOST_G))
-    return sorted((m for g in range(dim_g + 1) for m in enumerate_monomials(
-        table, total_ghost, g, g - total_ghost, max_base_degree, LAGRANGIAN_KINDS)),
-        key=table.codec.unpack)
+    """Monomials of K of total ghost number ``total_ghost`` and base degree
+    at most ``max_base_degree``, in tuple order.  Every generator of K but
+    the base coordinates is odd (c_i of degree 1, B_p of degree -1), so a
+    monomial is a base monomial times a set of c's and a set of B's, and
+    its total ghost number is #c - #B."""
+    unit = table.codec.unit
+    cs, Bs = table.ids_of_kind(Kind.GHOST_G), table.ids_of_kind(Kind.ANTIGHOST_H)
+    # tuple order compares base parts first: the products of the sorted base
+    # parts and the sorted odd parts c + B (ids in order) are sorted
+    odds = sorted(c + B for k in range(max(total_ghost, 0), len(cs) + 1)
+                  for c in combinations(cs, k)
+                  for B in combinations(Bs, k - total_ghost))
+    bases = sorted((tuple((g, len(list(run))) for g, run in groupby(base)), base)
+                   for d in range(max_base_degree + 1)
+                   for base in combinations_with_replacement(
+                       table.ids_of_kind(Kind.BASE), d))
+    bkeys = [sum(unit[g] for g in base) for _evens, base in bases]
+    okeys = [sum(unit[g] for g in odd) for odd in odds]
+    return [b + o for b in bkeys for o in okeys]
 
 
 class ProbeReport:

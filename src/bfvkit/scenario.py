@@ -196,7 +196,16 @@ def check_equivariance(S: Scenario) -> ValidationReport:
     return rep
 
 
-def ideal_membership(S: Scenario, target: GPoly, bound: int | None = None):
+def constraint_delta_v(S: Scenario):
+    """delta_V of ``constraint_charge(S)``, compiled: the operator of every
+    membership solve of the scenario."""
+    from .engine import _shift_part
+
+    return _shift_part(constraint_charge(S), (0, -1))
+
+
+def ideal_membership(S: Scenario, target: GPoly, bound: int | None = None,
+                     delta_v=None):
     """Cofactors h_g with target = sum h_g * g over the constraint ideal.
 
     The generators g are those of ``assemble_constraints(S)``.  delta_V of
@@ -207,15 +216,17 @@ def ideal_membership(S: Scenario, target: GPoly, bound: int | None = None):
     base degree at most ``bound``.  delta_V is odd, so the cofactor of g is
     (-1)^|h| h over the terms h of dP/da_g|R.  Returns the cofactors,
     parallel to the generators and checked to rebuild the target, or None
-    when the bounded system is inconsistent.
+    when the bounded system is inconsistent.  A caller with several
+    targets passes ``delta_v = constraint_delta_v(S)``, compiled once.
     """
-    from .engine import _reached_solve, _shift_part
+    from .engine import _reached_solve
 
     bound = S.degree_bound if bound is None else bound
+    delta_v = constraint_delta_v(S) if delta_v is None else delta_v
     table = S.table
     sol, _cols, _rank = _reached_solve(
-        _shift_part(constraint_charge(S), (0, -1)), target,
-        [(d - 1, 0, 1) for d in target.degree_support()], [bound])
+        delta_v, target, [(d - 1, 0, 1) for d in target.degree_support()],
+        [bound])
     if sol is None:
         return None
     ags = table.ids_of_kind(Kind.ANTIGHOST_G) + table.ids_of_kind(Kind.ANTIGHOST_H)
@@ -239,12 +250,15 @@ def check_compatibility(S: Scenario, bound: int | None = None) -> ValidationRepo
     bound = S.degree_bound if bound is None else bound
     names = [f"psi{i+1}" for i in range(len(cs.deg1))] + \
             [f"J0_{j+1}" for j in range(len(cs.deg0))]
+    delta_v = None
     for name, g in zip(names, cs.generators):
         br = bracket(S.pi, g)
         if not br:
             rep.record(f"normalizer.{name}", True)
             continue
-        cof = ideal_membership(S, br, bound)
+        if delta_v is None:
+            delta_v = constraint_delta_v(S)
+        cof = ideal_membership(S, br, bound, delta_v)
         if cof is None:
             rep.record_undecided(f"normalizer.{name}",
                                  f"membership undecided at bound {bound}")
@@ -275,7 +289,7 @@ def check_compatibility(S: Scenario, bound: int | None = None) -> ValidationRepo
             if not br:
                 rep.record("weak-master", True, "{pi,pi} = 0")
             else:
-                cof = ideal_membership(S, br, bound)
+                cof = ideal_membership(S, br, bound, delta_v)
                 if cof is None:
                     rep.record_undecided("weak-master",
                                          f"membership undecided at bound {bound}")
@@ -468,6 +482,8 @@ def bch_transport_check(S: Scenario, order: int) -> ValidationReport:
     rep = ValidationReport("bch")
     if S.kind != "group_valued":
         raise ShapeMismatch("bch_transport_check requires a group_valued scenario")
+    if len(S.psi) != S.dim_g:
+        raise ShapeMismatch("bch_transport_check needs one psi per g-basis element")
     table = S.table
     dim = len(S.phi)
     mats = [_rational_matrix(m) for m in S.basis_matrices]

@@ -1,10 +1,12 @@
+import functools
+import itertools
 import random
 from types import SimpleNamespace
 
 import pytest
 
 from bfvkit.config import parse_scenario
-from bfvkit.generators import bfv1_table
+from bfvkit.generators import Kind, bfv1_table
 from bfvkit.gpoly import GPoly
 from bfvkit.presets import PRESET_NAMES, load_preset
 
@@ -46,7 +48,7 @@ def engine_requests():
 
     ``enumerations`` holds (fdeg, ghost, antighost, max_base_degree) for
     every shape and bound given to a Koszul or lift system; the full
-    ansatz of such a system is the enumeration of its shapes.
+    ansatz of such a system is the ``brute_force_monomials`` of its shapes.
     """
     import bfvkit.engine as engine
 
@@ -67,6 +69,55 @@ def engine_requests():
             engine.extend_charge(S, Q, Pi, 2, 4)
         out[name] = SimpleNamespace(S=S, Q=Q, enumerations=sorted(shapes))
     return out
+
+
+def _grade(gens, exps):
+    """(function degree, ghost, antighost) of a product of generators."""
+    d = gh = ag = 0
+    for g, e in zip(gens, exps):
+        d, gh, ag = d + g.degree * e, gh + g.ghost * e, ag + g.antighost * e
+    return d, gh, ag
+
+
+@functools.lru_cache(maxsize=None)
+def _odd_subsets_by_grade(table):
+    odd = [g for g in table.entries if g.kind != Kind.BASE and g.parity]
+    out = {}
+    for exps in itertools.product((0, 1), repeat=len(odd)):
+        odds = tuple(g.gid for g, e in zip(odd, exps) if e)
+        out.setdefault(_grade(odd, exps), []).append(odds)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def brute_force_monomials(table, fdeg, ghost, antighost, max_base_degree):
+    """Every monomial of the shape, by exhaustive search: a tuple of packed
+    keys in the order of their tuple forms, cached per shape.
+
+    Odd non-base generators occur at most once.  Every even non-base
+    generator carries ghost or antighost number 1, and no generator a
+    negative one, so its exponent is at most the shape's ghost or
+    antighost number.  Odd subsets are grouped by grade and matched
+    against every even exponent vector.
+    """
+    base = [g.gid for g in table.entries if g.kind == Kind.BASE]
+    even = [g for g in table.entries if g.kind != Kind.BASE and not g.parity]
+    assert all(g.ghost >= 0 and g.antighost >= 0 for g in table.entries)
+    assert all(g.ghost == 1 or g.antighost == 1 for g in even)
+    odd_by_grade = _odd_subsets_by_grade(table)
+    base_vecs = [v for v in itertools.product(range(max_base_degree + 1),
+                                              repeat=len(base))
+                 if sum(v) <= max_base_degree]
+    caps = [max(ghost if g.ghost else antighost, 0) for g in even]
+    out = []
+    for exps in itertools.product(*(range(cap + 1) for cap in caps)):
+        d, gh, ag = _grade(even, exps)
+        for odds in odd_by_grade.get((fdeg - d, ghost - gh, antighost - ag), ()):
+            for vec in base_vecs:
+                evens = [(gid, e) for gid, e in zip(base, vec) if e]
+                evens += [(g.gid, e) for g, e in zip(even, exps) if e]
+                out.append((tuple(sorted(evens)), tuple(sorted(odds))))
+    return tuple(table.codec.pack(m) for m in sorted(out))
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ from fractions import Fraction
 
 import pytest
 
-from bfvkit.basis import enumerate_monomials
 from bfvkit.engine import (build_charge_deg0, build_charge_deg1, cocycle_lift,
                            delta_h, delta_v, extend_charge, koszul_solve,
                            master_residual)
@@ -31,7 +30,7 @@ from bfvkit.grammar import parse
 from bfvkit.homotopy import (BracketTower, _k_monomials, class_equals, h0_probe,
                              homotopy_jacobi_residual)
 from bfvkit.liedata import preset_lie, validate_bialgebra
-from conftest import random_homogeneous
+from conftest import brute_force_monomials, random_homogeneous
 
 
 def report(num, title, ok, extra=""):
@@ -121,7 +120,7 @@ def test_criterion_4_delta_splitting(so3, so3_setup):
         fdeg = rng.randint(-1, 3)
         key = (fdeg, g, a)
         if key not in spaces:
-            spaces[key] = enumerate_monomials(so3.table, fdeg, g, a, 1)
+            spaces[key] = brute_force_monomials(so3.table, fdeg, g, a, 1)
         monos = spaces[key]
         if not monos:
             continue
@@ -142,7 +141,7 @@ def test_criterion_5_koszul_round_trip(so3, so3_setup):
     Q = so3_setup[0]
     rng = random.Random(5)
     shapes = [(1, 0, 1), (2, 0, 1), (0, 0, 1), (2, 1, 2), (1, 0, 2)]
-    spaces = {sh: enumerate_monomials(so3.table, sh[0], sh[1], sh[2], 1)
+    spaces = {sh: brute_force_monomials(so3.table, sh[0], sh[1], sh[2], 1)
               for sh in shapes}
     done = 0
     while done < 100:

@@ -270,6 +270,47 @@ def test_document_bound_must_be_non_negative_int(tmp_path, capsys, name, key,
     assert f"key '{key}': must be a non-negative integer" in captured.err
 
 
+@pytest.mark.parametrize("name, where, value, key, argv", [
+    ("so3-classical", ("n",), "abc", "n", ["validate"]),
+    ("so3-classical", ("lie", "dim_g"), "x", "lie.dim_g", ["validate"]),
+    ("so3-classical", ("lie", "c", 0), [1, "a", 1, 1], "lie.c", ["validate"]),
+    ("abelian-translation", ("n",), 2.5, "n", ["validate"]),
+    ("quasi-chi", ("lie", "dim_h"), -2, "lie.dim_h", ["validate"]),
+    ("so3-classical", ("bfv0_pairs", 0), [1, "4"], "bfv0_pairs",
+     ["charge", "--bfv0"])],
+    ids=["n-abc", "dim_g-x", "c-index-a", "n-2.5", "dim_h--2", "bfv0_pairs-4"])
+def test_document_integers_must_be_ints(tmp_path, capsys, name, where, value,
+                                        key, argv):
+    # int() raised a ValueError traceback on "abc", "x" and "a", read 2.5
+    # as 2 (validate passed) and let -2 reach the shape checks (exit 1)
+    doc = load_preset(name)
+    *parents, last = where
+    field = doc
+    for step in parents:
+        field = field[step]
+    field[last] = value
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(doc))
+    code = main(argv + ["--scenario", str(path), "--format", "machine"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"key '{key}': must be " in captured.err
+
+
+def test_bch_without_psi_is_usage_error(tmp_path, capsys):
+    # psi[i - 1] raised an IndexError: exit 1 with a traceback
+    doc = load_preset("group-valued-so3")
+    doc["psi"] = []
+    path = tmp_path / "nopsi.json"
+    path.write_text(json.dumps(doc))
+    code = main(["bch", "--scenario", str(path), "--format", "machine"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "ShapeMismatch: bch_transport_check needs one psi" in captured.err
+
+
 @pytest.mark.parametrize("name", ["aff1-bialgebra", "quasi-chi",
                                   "abelian-translation", "group-valued-so3"])
 @pytest.mark.parametrize("command", ["charge", "master"])

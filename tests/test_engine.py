@@ -17,6 +17,7 @@ from bfvkit.gpoly import GPoly, bracket
 from bfvkit.grammar import parse
 from bfvkit.liedata import preset_lie
 from bfvkit.linalg import BlockEchelon, connected_blocks
+from conftest import brute_force_monomials
 
 
 @pytest.fixture(scope="module")
@@ -183,10 +184,8 @@ def test_koszul_abelian_antighost(abelian_translation):
 
 
 def test_koszul_round_trip(so3_classical, so3_Q, rng):
-    from bfvkit.basis import enumerate_monomials
-
     S, Q = so3_classical, so3_Q
-    monos = enumerate_monomials(S.table, 1, 0, 1, 1)
+    monos = brute_force_monomials(S.table, 1, 0, 1, 1)
     done = 0
     while done < 15:
         pick = rng.sample(monos, 3)
@@ -451,14 +450,12 @@ def test_master_iff_valid_data_randomized(rng):
 def test_delta_v_is_koszul_component_of_bracket(engine_requests):
     # every monomial of every shape that lift and extend enumerate: delta_V
     # is the (g, a - 1) component of the full bracket with the charge
-    from bfvkit.basis import enumerate_monomials
-
     checked = 0
     for name in ("quasi-chi", "group-valued-so3", "aff1-bialgebra"):
         req = engine_requests[name]
         table = req.S.table
         for fdeg, g, a, bound in req.enumerations:
-            for mono in enumerate_monomials(table, fdeg, g, a, bound):
+            for mono in brute_force_monomials(table, fdeg, g, a, bound):
                 m = GPoly(table, {mono: Fraction(1)})
                 full = bracket(req.Q, m).bidegree_components()
                 expected = full.get((g, a - 1), GPoly.zero(table))
@@ -540,12 +537,11 @@ def full_koszul_columns(S, Q, shape, ansatz_degree):
     the Koszul system as it was built before systems were posed over the
     reach of their target."""
     import bfvkit.engine as engine
-    from bfvkit.basis import enumerate_monomials
 
     fdeg, g, a = shape
     op = engine._shift_part(Q, (0, -1))
     return [(mono, op(GPoly(S.table, {mono: 1})).terms)
-            for mono in enumerate_monomials(S.table, fdeg, g, a, ansatz_degree)]
+            for mono in brute_force_monomials(S.table, fdeg, g, a, ansatz_degree)]
 
 
 def full_koszul_system(S, Q, shape, ansatz_degree):
@@ -582,7 +578,6 @@ def full_generic_lift(S, Q, ansatz_degree):
     """The generic lift over the full ansatz at each escalating bound, as
     it was before systems were posed over the reach of their target; None
     where cocycle_lift raises LiftNotFound."""
-    from bfvkit.basis import enumerate_monomials
     from bfvkit.gpoly import inner_derivation
 
     target = -bracket(Q, S.pi)
@@ -592,7 +587,7 @@ def full_generic_lift(S, Q, ansatz_degree):
     for bound in range(ansatz_degree + 1):
         monos = []
         for g in range(1, S.dim_h + 3):
-            monos.extend(enumerate_monomials(S.table, 2, g, g, bound))
+            monos.extend(brute_force_monomials(S.table, 2, g, g, bound))
         system = BlockEchelon((m, ad(GPoly(S.table, {m: 1})).terms) for m in monos)
         sol = system.solve(target.terms)
         if sol is not None:
@@ -646,8 +641,6 @@ def koszul_spaces(quasi_chi, aff1_bialgebra, so3_classical):
     through odd antighosts: (scenario, charge, bound, the shape's
     monomials, the full system, keys of the target shape that no column of
     the full system holds)."""
-    from bfvkit.basis import enumerate_monomials
-
     out = []
     for S, shape, bound in ((quasi_chi, (2, 0, 1), 4),
                             (aff1_bialgebra, (2, 1, 2), 4),
@@ -656,10 +649,10 @@ def koszul_spaces(quasi_chi, aff1_bialgebra, so3_classical):
         Q = build_charge_deg1(S)
         full = full_koszul_system(S, Q, shape, bound)
         fdeg, g, a = shape
-        stray = [m for m in enumerate_monomials(S.table, fdeg + 1, g, a - 1,
-                                                bound + 2)
+        stray = [m for m in brute_force_monomials(S.table, fdeg + 1, g, a - 1,
+                                                  bound + 2)
                  if m not in full.key_block]
-        out.append((S, Q, bound, enumerate_monomials(S.table, fdeg, g, a, bound),
+        out.append((S, Q, bound, brute_force_monomials(S.table, fdeg, g, a, bound),
                     full, stray))
     return out
 
@@ -715,14 +708,12 @@ def test_generic_lift_column_order_matches_full_ansatz(aff1_bialgebra):
     # pi plus one ansatz monomial, for every monomial up to base degree 2:
     # at that bound some blocks hold a dependency across ghost levels, so
     # the solution depends on posing the columns ghost level by level
-    from bfvkit.basis import enumerate_monomials
-
     S = copy.deepcopy(aff1_bialgebra)
     S.kind = "generalized_pair"
     Q = build_charge_deg1(S)
     pi = S.pi
     for g in (1, 2):
-        for mono in enumerate_monomials(S.table, 2, g, g, 2):
+        for mono in brute_force_monomials(S.table, 2, g, g, 2):
             S.pi = pi + GPoly(S.table, {mono: Fraction(1)})
             assert cocycle_lift(S, Q, 2) == full_generic_lift(S, Q, 2), mono
 

@@ -21,8 +21,9 @@ from bfvkit.homotopy import (BracketTower, ProbeReport, _k_monomials,
                              restrict_check)
 from bfvkit.linalg import EchelonSolver
 from bfvkit.liedata import preset_lie
-from bfvkit.presets import load_preset
+from bfvkit.presets import PRESET_NAMES, load_preset
 from bfvkit.scenario import Scenario
+from conftest import brute_force_monomials
 from test_linalg import FractionEchelonSolver
 
 
@@ -419,6 +420,32 @@ def test_kernel_is_bracket_on_probe_spaces(request, preset, degree):
             assert got == bracket(Q, GPoly(S.table, {m: Fraction(1)})), m
             checked += 1
     assert checked > 100
+
+
+def test_k_monomials_match_brute_force():
+    # K = C[x] (x) Lambda g* (x) Lambda h: of total ghost t, the brute-force
+    # monomials of the shapes (t, g, g - t) with no field outside K, merged
+    # in tuple order; a lower bound keeps those of base degree within it
+    for name in PRESET_NAMES:
+        table = parse_scenario(load_preset(name)).table
+        codec = table.codec
+        dim_g = len(table.ids_of_kind(Kind.GHOST_G))
+        for t in range(-2, 3):
+            forms = sorted(codec.unpack(m) for g in range(max(t, 0), dim_g + 1)
+                           for m in brute_force_monomials(table, t, g, g - t, 4)
+                           if not m & codec.outside)
+            for bound in range(5):
+                want = [codec.pack(f) for f in forms
+                        if sum(e for _x, e in f[0]) <= bound]
+                assert _k_monomials(table, t, bound) == want, (name, t, bound)
+
+
+def test_k_monomials_so3_degree_6_sizes(so3_classical):
+    # the spaces of the degree-6 so3-classical probe: C(12, 6) base
+    # monomials in six coordinates times the sets of c's and B's of three
+    # each with #c = #B (20 of them) or #B = #c + 1 (15)
+    assert len(_k_monomials(so3_classical.table, 0, 6)) == 924 * 20 == 18480
+    assert len(_k_monomials(so3_classical.table, -1, 6)) == 924 * 15 == 13860
 
 
 def _lagrangian_polys(table):

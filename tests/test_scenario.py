@@ -118,6 +118,28 @@ def test_membership_verifies_cofactors(so3_classical, monkeypatch):
                          bracket(so3_classical.pi, so3_classical.J0[0]), 0)
 
 
+def test_compatibility_compiles_delta_v_once(so3_classical, monkeypatch):
+    # three generators have a nonzero {pi, g}: one operator serves all
+    # three membership solves, with the answers of separate compiles
+    import bfvkit.scenario as scenario
+
+    compiled = []
+    real = scenario.constraint_delta_v
+
+    def counting(S):
+        compiled.append(real(S))
+        return compiled[-1]
+
+    S = copy.deepcopy(so3_classical)
+    targets = [bracket(S.pi, g) for g in assemble_constraints(S).generators]
+    targets = [t for t in targets if t]
+    assert len(targets) == 3
+    assert all(ideal_membership(S, t) is not None for t in targets)
+    monkeypatch.setattr(scenario, "constraint_delta_v", counting)
+    assert check_compatibility(S).passed
+    assert len(compiled) == 1
+
+
 def recorded_columns(monkeypatch):
     """Tags given to EchelonSolver.add_column from now on, in order."""
     import bfvkit.linalg as linalg

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfvkit.basis import enumerate_monomials
 from bfvkit.config import parse_scenario
 from bfvkit.errors import NotNearIdentity, RankDeficient, ShapeMismatch
 from bfvkit.generators import Kind, bfv1_table
@@ -29,6 +28,7 @@ from bfvkit.scenario import (_pair_with_basis, _rational_matrix,
                              assemble_constraints, bch_transport_check,
                              group_log_constraints, ideal_membership, mat_add,
                              mat_identity, mat_is_zero, mat_mul)
+from conftest import brute_force_monomials
 
 # -- reference implementations -------------------------------------------
 
@@ -57,8 +57,7 @@ def one_shot_membership(table, gens, target, bound):
         want = tdeg - g.degree()
         if want < 0:
             continue
-        for mono in enumerate_monomials(table, want, 0, 0, bound,
-                                        kinds={Kind.BASE, Kind.FIBER}):
+        for mono in brute_force_monomials(table, want, 0, 0, bound):
             col = (GPoly(table, {mono: Fraction(1)}) * g).terms
             if col:
                 columns.append(((gi, mono), col))
