@@ -61,8 +61,10 @@ def _rat(v, key):
 
 def _sparse(entries, arity, key):
     out = {}
+    if not isinstance(entries or [], list):
+        raise SchemaError(key, f"expected a list of rows: {entries!r}")
     for row in entries or ():
-        if len(row) != arity + 1:
+        if not isinstance(row, list) or len(row) != arity + 1:
             raise SchemaError(key, f"expected {arity} indices and a value: {row!r}")
         idx = tuple(_int(i, key) for i in row[:arity])
         out[idx] = _rat(row[arity], key)
@@ -216,5 +218,11 @@ def load_document(path_or_text: str) -> dict:
 
 
 def bfv0_pairs(doc: dict):
-    return [tuple(_int(v, "bfv0_pairs") for v in pair)
-            for pair in doc.get("bfv0_pairs") or []]
+    pairs = [tuple(_int(v, "bfv0_pairs", 1) for v in pair)
+             for pair in doc.get("bfv0_pairs") or []]
+    flat = [i for pair in pairs for i in pair]
+    if any(len(pair) != 2 for pair in pairs) or len(set(flat)) < len(flat) \
+            or max(flat, default=0) > doc["n"]:
+        raise SchemaError("bfv0_pairs", "expected pairs of distinct base "
+                          f"indices in 1..{doc['n']}: {doc['bfv0_pairs']!r}")
+    return pairs

@@ -30,14 +30,16 @@ runs on the kernel's integers: each column is D * l_1(m), and K membership
 is one AND against the codec's mask of the fields outside K.  Scaling
 every column by the same D leaves each kernel, span and residual
 unchanged.  Keys are relabelled once: a monomial of the bounded ghost 0
-space by its index in that space's sorted list, any other key after them,
-so the in-span test is an integer comparison.  The probe is three integer
-eliminations: a :func:`~bfvkit.linalg.kernel` per block of ghost 0
-columns, one kernel of the out-of-span parts of the ghost -1 columns,
-whose in-span recombinations span the image, and the min-key ``img``
-solver, which reduces the kernel vectors and then holds the independent
-residuals as representatives.  Index order is monomial order, so its
-pivots, and so the printed representatives, are the monomial order's.
+space by its index in that space's sorted list, any other key by -1, -2,
+..., so the in-span test is a sign test.  The probe is one pass over the
+blocks of columns, which have disjoint keys.  The min-key solver ``img``
+takes each block's ghost -1 columns untracked and eliminates negative keys
+first: the block's image rank r_B is its number of pivots >= 0.  The
+kernel dimension k_B is a :func:`~bfvkit.linalg.rank`; r_B > k_B means
+l_1^2 != 0.  Only where k_B > r_B does a :func:`~bfvkit.linalg.kernel` give
+kernel vectors, which ``img`` reduces, holding the independent residuals as
+representatives.  Index order is monomial order, so its pivots, and so
+the printed representatives, are the monomial order's.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .engine import _reached_solve
 from .errors import InternalSignError, NotInLagrangian, TruncationWarning
 from .generators import Kind
 from .gpoly import GPoly, bracket, inner_derivation
-from .linalg import EchelonSolver, connected_blocks, kernel
+from .linalg import EchelonSolver, connected_blocks, kernel, rank
 
 
 def restrict_check(F: GPoly) -> GPoly:
@@ -105,6 +107,8 @@ class BracketTower:
             raise ValueError("k must be >= 1")
         if len(args) != k:
             raise ValueError(f"expected {k} arguments")
+        if k == 2:
+            return self.ell2_table(args[:1], args[1:])[0][0]
         if k >= 3 and k - 2 >= len(self.series.terms):
             warnings.warn(
                 f"{k}-ary bracket vanishes by truncation of the charge series",
@@ -127,10 +131,18 @@ class BracketTower:
         eps = sum((k - i) * a.parity() for i, a in enumerate(args, start=1))
         if eps % 2:
             val = -val
-        if k == 2:
-            # classical-limit normalization, see module docstring
-            val = -val
         return _checked(val)
+
+    def ell2_table(self, fs, gs) -> list:
+        """Rows [l_2(f, g) for g in gs] for f in fs, each argument split and
+        checked once and {Pi, f} formed once per homogeneous part of f."""
+        Pi = self.series.term(0)
+        fparts, gparts = self._homogeneous_args(fs), self._homogeneous_args(gs)
+        # -(-1)^{f} {Pi, f}: the minus is the classical-limit normalization
+        heads = [[bracket(Pi, p) if p.parity() else -bracket(Pi, p) for p in parts]
+                 for parts in fparts]
+        return [[sum((_checked(bracket(h, q)) for h in hs for q in qs),
+                     GPoly.zero(self.table)) for qs in gparts] for hs in heads]
 
     def ell1(self, f):
         return self.ell(1, [f])
@@ -239,7 +251,7 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
 
     # columns: the ghost 0 monomials (indices below n0), then the ghost -1
     # monomials, each D * l_1(m) as an integer vector.  Keys are relabelled
-    # once: a monomial of dom0 by its index, any other key by n0 + j.
+    # once: a monomial of dom0 by its index, any other key by -1, -2, ...
     outside = table.codec.outside
     label = {m: i for i, m in enumerate(dom0)}
     cols = []
@@ -250,69 +262,56 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
             if i is None:
                 if k & outside:
                     _checked(GPoly(table, {k: 1}))
-                i = label[k] = len(label)
+                i = label[k] = n0 - len(label) - 1
             col[i] = v
         cols.append(col)
 
-    # ker(l_1): one kernel per block of columns that share a key; a ghost 0
-    # column's keys are its image and its own monomial, so a ghost -1
-    # column joins the ghost 0 monomials in its image.  The blocks fix the
-    # order of the kernel vectors, and so which representatives print.
+    # blocks of columns that share a key: a ghost 0 column's keys are its
+    # image and its own monomial, so a ghost -1 column joins the ghost 0
+    # monomials in its image.  The blocks fix the order of the kernel
+    # vectors, and so which representatives print.
     supports = [list(cols[i]) + [i] for i in range(n0)] + cols[n0:]
-    kernel_vecs = []
-    for block in connected_blocks(supports):
-        kernel_vecs.extend(kernel({i: cols[i] for i in block if i < n0}))
-    rep.dim_kernel = len(kernel_vecs)
-
-    # im(l_1) inside the span: the ghost -1 combinations whose parts
-    # outside dom0 cancel.  Blocks have disjoint keys and only the span is
-    # read, so one kernel serves them all.  img pivots by min key: the
-    # representatives are residuals, which depend on the pivot set.
-    outs = {i: {k: v for k, v in cols[i].items() if k >= n0}
-            for i in range(n0, len(cols))}
     img = EchelonSolver()
-    for j, (combo, _scale) in enumerate(kernel(outs)):
-        vec = {}
-        for i, f in combo.items():
-            for k, v in cols[i].items():
-                if k < n0:
-                    vec[k] = vec.get(k, 0) + f * v
-        img.add_column(("img", j), vec)
-    rep.dim_image = img.rank()
-
-    # representatives: every kernel vector is reduced modulo the image
-    # first, and a residual is then added to img if independent of the
-    # earlier ones.  It vanishes on img's pivots, and the only image vector
-    # that does is zero, so this is independence modulo the image.  A
-    # dependent one leaves its tag, which the next one reuses, in img.kernel
-    # only, which is not read.
-    for resid in [img.residual(combo, scale) for combo, scale in kernel_vecs]:
-        if resid and img.add_column(("rep", rep.dim_h0), resid):
-            poly = GPoly(table, {dom0[k]: c for k, c in resid.items()})
-            rep.representatives.append(poly)
-            rep.projections.append(GPoly(
-                table, {m: c for m, c in poly.terms.items()
-                        if poly.mono_ghost(m) == (0, 0)}))
+    for block in connected_blocks(supports):
+        g0 = {i: cols[i] for i in block if i < n0}
+        for i in block[len(g0):]:  # ascending: the ghost -1 columns
+            img.add_column(None, cols[i])
+        r_b = sum(i in img.pivots for i in g0)
+        k_b = len(g0) - rank(g0)
+        rep.dim_kernel += k_b
+        rep.dim_image += r_b
+        if r_b > k_b:
+            raise InternalSignError(f"l_1^2 != 0: image rank {r_b} > kernel dim {k_b}")
+        if r_b == k_b:
+            continue
+        # a block that holds a class: every kernel vector is reduced modulo
+        # the image first, then a residual joins img if independent of the
+        # earlier ones.  It vanishes on img's pivots, as only the zero image
+        # vector does, so this is independence modulo the image.  A
+        # dependent one leaves its tag in the unread img.kernel only.
+        for resid in [img.residual(combo, scale) for combo, scale in kernel(g0)]:
+            if resid and img.add_column(rep.dim_h0, resid):
+                poly = GPoly(table, {dom0[k]: c for k, c in resid.items()})
+                rep.representatives.append(poly)
+                rep.projections.append(GPoly(
+                    table, {m: c for m, c in poly.terms.items()
+                            if poly.mono_ghost(m) == (0, 0)}))
 
     # l_2 table on representatives, expressed modulo the image: img holds
     # the representatives, independent modulo the image, so their
-    # coefficients are unique.  A value with a key outside dom0 is not in
-    # their span.
-    for i, ri in enumerate(rep.representatives):
-        for j, rj in enumerate(rep.representatives):
-            val = tower.ell2(ri, rj)
-            if not val:
-                rep.table[(i, j)] = {}
-                continue
-            sol = None
-            if all(m in label for m in val.terms):
-                sol = img.solve({label[m]: c for m, c in val.terms.items()})
+    # coefficients are unique, and its only tags are their indices.  A
+    # value with a key outside dom0 is not in their span.
+    reps = rep.representatives
+    for i, row in enumerate(tower.ell2_table(reps, reps)):
+        for j, val in enumerate(row):
+            keys = [label.get(m, -1) for m in val.terms]
+            sol = img.solve(dict(zip(keys, val.terms.values()))) \
+                if min(keys, default=0) >= 0 else None
             if sol is None:
                 rep.closure_ok = False
                 rep.inconclusive.append((i, j))
-                continue
-            rep.table[(i, j)] = {t[1]: c for t, c in sol.items()
-                                 if t[0] == "rep" and c}
+            else:
+                rep.table[(i, j)] = sol
     return rep
 
 

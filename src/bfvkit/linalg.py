@@ -9,8 +9,8 @@ dependent column yields the unique combination over the earlier independent
 columns, and a solution is the unique one over the independent columns.
 ``residual`` is the unique vector of ``target + span`` that vanishes on the
 pivot set, so it is canonical for the min-key pivots.  A caller that reads
-nothing but kernels may therefore pivot sparsely, and :func:`kernel` does
-so; one that reads residuals keeps the min-key pivots.
+kernels or ranks alone may pivot sparsely, as :func:`kernel` and
+:func:`rank` do; one that reads residuals keeps the min-key pivots.
 
 Elimination runs on integer rows (fraction-free, after Bareiss, Math.
 Comp. 1968).  An incoming column or target is scaled once by the common
@@ -35,6 +35,8 @@ from math import gcd, lcm
 
 def _to_integers(vec: dict):
     """(integer vector, scale) with integer vector = scale * vec, zeros dropped."""
+    if {*map(type, vec.values())} == {int} and 0 not in vec.values():
+        return dict(vec), 1
     scale = lcm(*(v.denominator for v in vec.values()))
     return {k: v.numerator * (scale // v.denominator)
             for k, v in vec.items() if v}, scale
@@ -94,20 +96,24 @@ class EchelonSolver:
         return scale
 
     def add_column(self, tag, vec: dict):
-        """Insert one column; returns True if it enlarged the span."""
+        """Insert one column; returns True if it enlarged the span.  A tag
+        of None tracks no combination and keeps no kernel pair."""
         vec, scale = _to_integers(vec)
-        combo = {tag: scale}
+        combo = {} if tag is None else {tag: scale}
         scale = self._reduce(vec, combo, scale)
         if not vec:
-            g = gcd(scale, *combo.values())
-            self.kernel.append(({t: c // g for t, c in combo.items()}, scale // g))
+            if tag is not None:
+                g = gcd(scale, *combo.values())
+                self.kernel.append(({t: c // g for t, c in combo.items()}, scale // g))
             return False
         pivot = min(vec)
         g = gcd(*vec.values(), *combo.values())
         if vec[pivot] < 0:
             g = -g
-        self.pivots[pivot] = ({k: v // g for k, v in vec.items()},
-                              {t: c // g for t, c in combo.items()})
+        if g != 1:  # a primitive row is stored as it is
+            vec = {k: v // g for k, v in vec.items()}
+            combo = {t: c // g for t, c in combo.items()}
+        self.pivots[pivot] = (vec, combo)
         return True
 
     def rank(self) -> int:
@@ -129,47 +135,53 @@ class EchelonSolver:
         return {t: Fraction(-c, scale) for t, c in combo.items()}
 
 
-def kernel(columns: dict) -> list:
-    """The kernel pairs of the columns ``{tag: vec}``, added in order.
-
-    Only the kernel is read, and it does not depend on the pivots, so keys
-    are relabelled to pivot sparsely: ordered by ``(n, key)`` with n the
-    number of columns holding the key, the min-key pivots are the keys that
-    fewest columns contain (a static Markowitz count, after Markowitz,
-    Management Sci. 1957), which limits fill-in.
-    """
+def _sparse_echelon(columns: dict, track: bool) -> EchelonSolver:
+    """The columns ``{tag: vec}`` added in order, tagged only if ``track``.
+    Kernel and rank do not depend on the pivots, so keys are relabelled to
+    pivot sparsely: ordered by ``(n, key)``, n the number of columns holding
+    the key, the min-key pivots are the keys fewest columns contain (a
+    static Markowitz count, after Markowitz, Management Sci. 1957)."""
     count = Counter(k for vec in columns.values() for k in vec)
     label = {k: i for i, k in enumerate(sorted(count, key=lambda k: (count[k], k)))}
     es = EchelonSolver()
     for tag, vec in columns.items():
-        es.add_column(tag, {label[k]: v for k, v in vec.items()})
-    return es.kernel
+        es.add_column(tag if track else None, {label[k]: v for k, v in vec.items()})
+    return es
+
+
+def kernel(columns: dict) -> list:
+    """The kernel pairs of the columns ``{tag: vec}``, added in order."""
+    return _sparse_echelon(columns, True).kernel
+
+
+def rank(columns: dict) -> int:
+    """The rank of the columns ``{tag: vec}``, with no combination tracked."""
+    return _sparse_echelon(columns, False).rank()
 
 
 def connected_blocks(supports) -> list:
     """Indices of the key sets ``supports`` grouped into classes connected
     through shared keys; each class ascending, classes by first index.
-    A search over the column/key graph that expands each key once."""
-    holders = {}
+    A union-find: each key is owned by the first set holding it, and each
+    root is the least index of its class."""
+    parent = list(range(len(supports)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    owner = {}
     for i, keys in enumerate(supports):
+        r = i  # the root of i's class
         for k in keys:
-            holders.setdefault(k, []).append(i)
-    seen = [False] * len(supports)
-    blocks = []
-    for i, keys in enumerate(supports):
-        if seen[i]:
-            continue
-        seen[i] = True
-        block, stack = [i], [keys]
-        while stack:
-            for k in stack.pop():
-                for j in holders.pop(k, ()):
-                    if not seen[j]:
-                        seen[j] = True
-                        block.append(j)
-                        stack.append(supports[j])
-        blocks.append(sorted(block))
-    return blocks
+            j = owner.setdefault(k, i)
+            if j != i and (j := root(j)) != r:
+                parent[max(j, r)] = r = min(j, r)
+    blocks = {}
+    for i in range(len(supports)):
+        blocks.setdefault(root(i), []).append(i)
+    return list(blocks.values())
 
 
 class BlockEchelon:

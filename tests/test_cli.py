@@ -298,6 +298,34 @@ def test_document_integers_must_be_ints(tmp_path, capsys, name, where, value,
     assert f"key '{key}': must be " in captured.err
 
 
+@pytest.mark.parametrize("name, where, value, key, argv", [
+    ("so3-classical", ("bfv0_pairs",), [[1, 7], [2, 5], [3, 6]], "bfv0_pairs",
+     ["charge", "--bfv0"]),
+    ("so3-classical", ("bfv0_pairs",), [[1, 4], [1, 5], [3, 6]], "bfv0_pairs",
+     ["charge", "--bfv0"]),
+    ("so3-classical", ("lie", "c"), [5], "lie.c", ["validate"]),
+    ("so3-classical", ("lie", "c"), 5, "lie.c", ["validate"])],
+    ids=["bfv0-index-past-n", "bfv0-index-twice", "c-row-not-a-list",
+         "c-not-a-list"])
+def test_malformed_document_entries_are_schema_errors(tmp_path, capsys, name,
+                                                      where, value, key, argv):
+    # the index past n raised a KeyError, the repeated index a ValueError
+    # and the non-list rows a TypeError: exit 1 with a traceback
+    doc = load_preset(name)
+    *parents, last = where
+    field = doc
+    for step in parents:
+        field = field[step]
+    field[last] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code = main(argv + ["--scenario", str(path), "--format", "machine"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"key '{key}': expected " in captured.err
+
+
 def test_bch_without_psi_is_usage_error(tmp_path, capsys):
     # psi[i - 1] raised an IndexError: exit 1 with a traceback
     doc = load_preset("group-valued-so3")

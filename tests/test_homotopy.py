@@ -209,6 +209,27 @@ def test_ell_multilinear_split(so3_tower, so3_classical):
         + so3_tower.ell2(parse(t, "1 * x2 c1 B1"), g)
 
 
+def test_ell2_table_is_the_normalized_nested_bracket(so3_classical, so3_tower,
+                                                     rng):
+    # oracle, monomial by monomial: l_2(f, g) = -(-1)^{|f|} {{Pi, f}, g};
+    # the rows take inhomogeneous arguments, the table every pair
+    t = so3_classical.table
+    Pi = so3_tower.series.term(0)
+    fs = [rand_lagrangian(t, rng) + rand_lagrangian(t, rng) for _ in range(4)]
+    gs = [rand_lagrangian(t, rng) + rand_lagrangian(t, rng) for _ in range(3)]
+
+    def oracle(f, g):
+        out = GPoly.zero(t)
+        for m, c in f.terms.items():
+            val = bracket(bracket(Pi, GPoly(t, {m: c})), g)
+            out = out + (val if f.mono_degree(m) % 2 else -val)
+        return out
+
+    table = so3_tower.ell2_table(fs, gs)
+    assert table == [[oracle(f, g) for g in gs] for f in fs]
+    assert any(v for row in table for v in row)
+
+
 # -- homotopy Jacobi ---------------------------------------------------
 
 
@@ -690,30 +711,34 @@ def test_h0_probe_matches_reference(request, preset, tower_name, degree):
     assert got.dim_h0 > 0
 
 
-def probe_kernel_solvers(monkeypatch, S, tower, degree):
-    """The solver of each ``linalg.kernel`` that h0_probe takes, with the
-    columns that the kernel was given, before its relabelling."""
+def probe_eliminations(monkeypatch, S, tower, degree):
+    """(report, [(name, solver, columns)]): the solver of each
+    ``linalg.rank`` and ``linalg.kernel`` call that h0_probe makes, with
+    the call's name and its columns, before their relabelling."""
     given, made = [], []
-    real_kernel = homotopy.kernel
 
     class Recording(EchelonSolver):
         def __init__(self):
             super().__init__()
             made.append(self)
 
-    def recording_kernel(columns):
-        given.append(list(columns.items()))
-        return real_kernel(columns)
-
+    for name in ("rank", "kernel"):
+        def recording(columns, name=name, real=getattr(homotopy, name)):
+            given.append((name, list(columns.items())))
+            return real(columns)
+        monkeypatch.setattr(homotopy, name, recording)
     monkeypatch.setattr(linalg, "EchelonSolver", Recording)
-    monkeypatch.setattr(homotopy, "kernel", recording_kernel)
-    h0_probe(S, tower, degree)
+    rep = h0_probe(S, tower, degree)
     monkeypatch.undo()
-    # one solver per kernel, holding just that kernel's columns
+    # one solver per call, holding just that call's columns; a rank
+    # solver tracks no combination
     assert len(made) == len(given)
-    assert all(es.rank() + len(es.kernel) == len(cols)
-               for es, cols in zip(made, given))
-    return list(zip(made, given))
+    for es, (name, cols) in zip(made, given):
+        if name == "rank":
+            assert es.kernel == [] and not any(c for _r, c in es.pivots.values())
+        else:
+            assert es.rank() + len(es.kernel) == len(cols)
+    return rep, [(name, es, cols) for es, (name, cols) in zip(made, given)]
 
 
 @pytest.mark.parametrize("preset, tower_name, degree", [
@@ -724,45 +749,55 @@ def test_probe_sparse_pivot_kernels_match_min_key(request, monkeypatch, preset,
                                                   tower_name, degree):
     S = request.getfixturevalue(preset)
     tower = request.getfixturevalue(tower_name)
-    solvers = probe_kernel_solvers(monkeypatch, S, tower, degree)
-    # the columns compared: one solver now holds every ghost -1 column
-    assert sum(len(cols) for _es, cols in solvers) > 900
-    for es, cols in solvers:
+    rep, calls = probe_eliminations(monkeypatch, S, tower, degree)
+    # every ghost 0 column is ranked once, in its block; kernel vectors are
+    # built only in the blocks that hold a class
+    ranked = [cols for name, _es, cols in calls if name == "rank"]
+    kernels = [cols for name, _es, cols in calls if name == "kernel"]
+    assert sum(len(cols) for cols in ranked) == rep.dim_space
+    assert 0 < len(kernels) <= rep.dim_h0 < len(ranked)
+    for name, es, cols in calls:
         plain = EchelonSolver()
         for tag, vec in cols:
             plain.add_column(tag, vec)
-        assert es.kernel == plain.kernel
+        assert es.rank() == plain.rank()
+        assert es.kernel == (plain.kernel if name == "kernel" else [])
 
 
 def test_probe_kernel_pivots_reduce_fill(so3_classical, so3_tower, monkeypatch):
-    # min-key pivots store 25,734 row entries on these kernels, and the
-    # sparse-first pivots of linalg.kernel 15,454
-    solvers = probe_kernel_solvers(monkeypatch, so3_classical, so3_tower, 3)
-    stored = sum(len(row) for es, _cols in solvers
+    # min-key pivots store 19,391 row entries on these ranks and kernels,
+    # and the sparse-first pivots of linalg 11,288
+    _rep, calls = probe_eliminations(monkeypatch, so3_classical, so3_tower, 3)
+    stored = sum(len(row) for _name, es, _cols in calls
                  for row, _c in es.pivots.values())
-    assert stored < 20273
+    assert stored < 15340
+
+
+def hand_made_tower(t, images):
+    """A tower whose l_1 sends a monomial m to images[m], zero if absent,
+    and whose l_2 vanishes."""
+    class HandMade:
+        table = t
+        ad_q = types.SimpleNamespace(
+            apply=lambda terms: dict(images.get(next(iter(terms)), {})))
+
+        def ell2_table(self, fs, gs):
+            return [[GPoly.zero(t) for _g in gs] for _f in fs]
+
+    return HandMade()
 
 
 def test_probe_on_a_hand_made_l1(so3_classical):
     # l_1 is zero on ghost 0 and sends three ghost -1 monomials to
     # e0 + e1 + e2, e3 + X and e4 + X, with e_i = dom0[i] and X = x1^2 just
-    # beyond the bound; X is the first key outside dom0, labelled n0
+    # beyond the bound; X is the first key outside dom0, labelled -1
     t = so3_classical.table
     dom0, domm = _k_monomials(t, 0, 1), _k_monomials(t, -1, 1)
     e = dict(enumerate(dom0))
     (X,) = parse(t, "1 * x1^2").terms
     images = {domm[0]: {e[0]: 1, e[1]: 1, e[2]: 1},
               domm[1]: {e[3]: 1, X: 1}, domm[2]: {e[4]: 1, X: 1}}
-
-    class HandMade:
-        table = t
-        ad_q = types.SimpleNamespace(
-            apply=lambda terms: dict(images.get(next(iter(terms)), {})))
-
-        def ell2(self, f, g):
-            return GPoly.zero(t)
-
-    rep = h0_probe(so3_classical, HandMade(), 1)
+    rep = h0_probe(so3_classical, hand_made_tower(t, images), 1)
     # the image inside the span is e0 + e1 + e2 and e3 - e4, where X cancels
     assert (rep.dim_space, rep.dim_kernel, rep.dim_image) == (len(dom0),) * 2 + (2,)
     # each kernel vector e_i is reduced modulo the image alone: e1 stays e1,
@@ -771,6 +806,17 @@ def test_probe_on_a_hand_made_l1(so3_classical):
         {e[i]: 1} for i in range(5, len(dom0))]
     assert [r.terms for r in rep.representatives] == want
     assert rep.closure_ok and all(not v for v in rep.table.values())
+
+
+def test_probe_rejects_l1_that_does_not_square_to_zero(so3_classical):
+    # l_1 sends a ghost -1 monomial to e0 and e0 to c1, so l_1^2 is not
+    # zero: the block of e0 has an image of rank 1 and no kernel
+    t = so3_classical.table
+    dom0, domm = _k_monomials(t, 0, 1), _k_monomials(t, -1, 1)
+    (c1,) = parse(t, "1 * c1").terms
+    tower = hand_made_tower(t, {domm[0]: {dom0[0]: 1}, dom0[0]: {c1: 1}})
+    with pytest.raises(InternalSignError, match="image rank 1 > kernel dim 0$"):
+        h0_probe(so3_classical, tower, 1)
 
 
 def test_restrict_check_names_first_offender(so3_classical):

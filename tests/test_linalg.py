@@ -2,13 +2,14 @@
 
 import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfvkit.linalg import EchelonSolver, kernel
+from bfvkit import linalg
+from bfvkit.linalg import EchelonSolver, connected_blocks, kernel
 
 
 def _solver(cols):
@@ -220,6 +221,14 @@ def test_echelon_matches_oracles(system):
     assert sol == ref.solve(target)
     assert es.residual(target) == ref.residual(target)
 
+    # untracked columns keep no combination and no kernel pair, and span
+    # the same pivots, so their residuals agree
+    span = EchelonSolver()
+    for _tag, vec in columns:
+        span.add_column(None, vec)
+    assert span.kernel == [] and span.pivots.keys() == es.pivots.keys()
+    assert span.residual(target) == es.residual(target)
+
 
 @settings(max_examples=150, deadline=None)
 @given(systems(), st.permutations(range(ROWS)))
@@ -254,3 +263,48 @@ def test_kernel_pairs_and_scaled_residuals_match_fraction_oracle(system, order,
     assert es.residual(target, denominator) == want
     assert es.residual(target, denominator) == {
         k: v / denominator for k, v in es.residual(target).items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(), st.booleans())
+def test_rank_and_kernel_split_the_columns(system, integral):
+    # rank-only and tracked elimination share the sparse-first relabelling;
+    # integral columns take the integer fast path wherever no entry is 0
+    columns, _target = system
+    if integral:
+        columns = [(tag, {k: int(v * lcm(*(w.denominator for w in vec.values())))
+                          for k, v in vec.items()}) for tag, vec in columns]
+    cols = dict(columns)
+    assert linalg.rank(cols) == sympy_rank(list(cols.values()))
+    assert linalg.rank(cols) + len(kernel(cols)) == len(cols)
+
+
+def search_blocks(supports):
+    """The classes of connected_blocks by a search over the column/key
+    graph that expands each key once."""
+    holders = {}
+    for i, keys in enumerate(supports):
+        for k in keys:
+            holders.setdefault(k, []).append(i)
+    seen = [False] * len(supports)
+    blocks = []
+    for i, keys in enumerate(supports):
+        if seen[i]:
+            continue
+        seen[i] = True
+        block, stack = [i], [keys]
+        while stack:
+            for k in stack.pop():
+                for j in holders.pop(k, ()):
+                    if not seen[j]:
+                        seen[j] = True
+                        block.append(j)
+                        stack.append(supports[j])
+        blocks.append(sorted(block))
+    return blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 15), max_size=4), max_size=16))
+def test_connected_blocks_match_search(supports):
+    assert connected_blocks(supports) == search_blocks(supports)
