@@ -258,13 +258,6 @@ class GPoly:
         return GPoly(self.table, {m: c for m, c in self.terms.items()
                                   if self.mono_base_degree(m) == degree})
 
-    def base_grades(self) -> dict:
-        """Terms split by base degree, {degree: {monomial: coefficient}}."""
-        out = {}
-        for m, c in self.terms.items():
-            out.setdefault(self.mono_base_degree(m), {})[m] = c
-        return out
-
     def max_base_degree(self) -> int:
         return max((self.mono_base_degree(m) for m in self.terms), default=0)
 

@@ -8,6 +8,16 @@ equal to the identity at the origin; its logarithm is truncated at the
 scenario's truncation order and paired against the Lie algebra basis
 matrices to produce ordinary polynomial constraints.
 
+The matrix series run on integers.  A series is (codec, entries, d): each
+entry split once by base degree, {degree: {monomial: int}}, over one
+positive denominator d for the whole matrix; products go through
+``gpoly.mul_into`` and multiply denominators.  With d the lcm of the
+denominators of Phi, N = Phi - I is scaled by d, so its m-th power has
+denominator d^m; the log sum_m (-1)^(m+1) N^m / m and the dual log
+(whose m-th term N^(m-1) B + D_(m-1) N has denominator d^(m-1) times
+that of B) are summed over the lcm of their terms' denominators.
+``Fraction`` comes back only where the log is paired with the basis.
+
 Conventions: the reference point of group-valued scenarios is the origin
 of the base coordinates; hamiltonian synthesis for classical scenarios
 with omitted psi uses psi_i := {pi, J0_i}.
@@ -18,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .errors import BfvError, NotNearIdentity, RankDeficient, ShapeMismatch
 from .generators import GeneratorTable, Kind
@@ -301,87 +312,110 @@ def check_compatibility(S: Scenario, bound: int | None = None) -> ValidationRepo
 
 
 # ---------------------------------------------------------------------------
-# group-valued scenarios: polynomial matrix series
+# group-valued scenarios: polynomial matrix series on integers
 
 
-def mat_identity(table, dim):
-    return tuple(tuple(GPoly.const(table, 1 if i == j else 0)
-                       for j in range(dim)) for i in range(dim))
+def _integer_matrix(table, rows, order):
+    """The matrix of term dicts ``rows`` truncated at base degree ``order``,
+    as a series (codec, entries, d) over the lcm d of its denominators."""
+    codec = table.codec
+    d = lcm(*(c.denominator for row in rows for terms in row for c in terms.values()))
+    entries = []
+    for row in rows:
+        out = []
+        for terms in row:
+            parts = {}
+            for m, c in terms.items():
+                g = codec.base_degree(m)
+                if c and g <= order:
+                    parts.setdefault(g, {})[m] = c.numerator * (d // c.denominator)
+            out.append(parts)
+        entries.append(out)
+    return codec, entries, d
 
 
-def mat_add(A, B, s=1):
-    return tuple(tuple(a + s * b for a, b in zip(ra, rb))
-                 for ra, rb in zip(A, B))
+def _log_argument(S: Scenario, order):
+    """N = Phi - I as a series truncated at base degree ``order``, Phi
+    read as its leading square block."""
+    dim = len(S.phi)
+    rows = [[dict(S.phi[i][j].terms) for j in range(dim)] for i in range(dim)]
+    for i, row in enumerate(rows):
+        row[i][0] = row[i].get(0, 0) - 1
+    return _integer_matrix(S.table, rows, order)
 
 
 def mat_mul(A, B, order):
-    """Product of square polynomial matrices truncated at base degree ``order``.
+    """Product of square matrix series truncated at base degree ``order``.
 
-    Base generators are even, so base degrees add exactly: pairs of terms
-    whose degrees sum past ``order`` are never multiplied, and the result
-    equals the full product followed by ``base_truncate(order)``.
+    Base generators are even, so base degrees add exactly: parts of degrees
+    d1, d2 are multiplied only when d1 + d2 <= ``order``, into part
+    d1 + d2, and the result equals the full product followed by
+    truncation.  Denominators multiply.
     """
-    table = A[0][0].table
-    dim = len(A)
-    ga = [[a.base_grades() for a in row] for row in A]
-    gb = [[b.base_grades() for b in row] for row in B]
+    codec, ea, da = A
+    _, eb, db = B
     out = []
-    for i in range(dim):
+    for arow in ea:
         row = []
-        for j in range(dim):
-            acc = {}
-            for k in range(dim):
-                for (d1, s), (d2, t) in product(ga[i][k].items(), gb[k][j].items()):
+        for j in range(len(eb)):
+            parts = {}
+            for a, brow in zip(arow, eb):
+                for (d1, s), (d2, t) in product(a.items(), brow[j].items()):
                     if d1 + d2 <= order:
-                        mul_into(table.codec, acc, s, t)
-            row.append(GPoly(table, acc))
-        out.append(tuple(row))
-    return tuple(out)
+                        mul_into(codec, parts.setdefault(d1 + d2, {}), s, t)
+            row.append({g: part for g, part in parts.items() if part})
+        out.append(row)
+    return codec, out, da * db
 
 
-def mat_is_zero(A):
-    return all(not a for ra in A for a in ra)
+def _mat_sum(terms):
+    """Sum of c * M over the (rational c, series M) of ``terms``, over the
+    lcm of the denominators of the c / d(M)."""
+    codec, entries, _ = terms[0][1]
+    scaled = [(Fraction(c) / d, e) for c, (_, e, d) in terms]
+    L = lcm(*(f.denominator for f, _e in scaled))
+    out = [[{} for _ in row] for row in entries]
+    for f, e in scaled:
+        s = f.numerator * (L // f.denominator)
+        for orow, row in zip(out, e):
+            for acc, entry in zip(orow, row):
+                for g, part in entry.items():
+                    mul_into(codec, acc.setdefault(g, {}), {0: 1}, part, s)
+    return codec, [[{g: p for g, p in acc.items() if p} for acc in row]
+                   for row in out], L
 
 
-def mat_powers(N, order):
-    """[I, N, N^2, ..., N^order] truncated at base degree ``order``; the
-    powers after the first zero one are that zero matrix."""
-    powers = [mat_identity(N[0][0].table, len(N))]
-    for _ in range(order):
+def _powers(N, order):
+    """[N, N^2, ..., N^order] (just [N] at order 0) truncated at base degree
+    ``order``; the powers after the first zero one are that zero."""
+    powers = [N]
+    for _ in range(order - 1):
         last = powers[-1]
-        powers.append(last if mat_is_zero(last) else mat_mul(last, N, order))
+        powers.append(mat_mul(last, N, order) if any(map(any, last[1])) else last)
     return powers
 
 
-def mat_log(powers):
-    """log(I + N) = N - N^2/2 + ... from ``mat_powers(N, order)``.
-
-    Requires every entry of N to vanish at the origin, so the series
-    terminates at order ``order``.
-    """
-    table = powers[0][0][0].table
-    dim = len(powers[0])
-    acc = tuple(tuple(GPoly.zero(table) for _ in range(dim)) for _ in range(dim))
-    for m, power in enumerate(powers[1:], start=1):
-        if mat_is_zero(power):
-            break
-        acc = mat_add(acc, power, Fraction((-1) ** (m + 1), m))
-    return acc
+def _log(powers):
+    """log(I + N) = N - N^2/2 + ... from ``_powers(N, order)``; N vanishes at
+    the origin, so the series terminates at order ``order``."""
+    return _mat_sum([(Fraction((-1) ** (m + 1), m), P)
+                     for m, P in enumerate(powers, start=1)])
 
 
 def _dual_log(powers, B, order):
-    """Dual part of log(I + N + tB) with t^2 = 0, from ``mat_powers(N, order)``
-    and B truncated at base degree ``order``.
+    """Terms (c, D_m) of the dual part of log(I + N + tB) with t^2 = 0, from
+    ``_powers(N, order)`` and B truncated at base degree ``order``.
 
     The dual part of (N + tB)^m is D_m = N^(m-1) B + D_(m-1) N, of base
     degree at least m - 1, so the series ends at m = order + 1.
     """
-    acc = D = B
+    terms = [(1, B)]
+    D = B
     for m in range(2, order + 2):
-        D = mat_add(mat_mul(powers[m - 1], B, order),
-                    mat_mul(D, powers[1], order))
-        acc = mat_add(acc, D, Fraction((-1) ** (m + 1), m))
-    return acc
+        D = _mat_sum([(1, mat_mul(powers[m - 2], B, order)),
+                      (1, mat_mul(D, powers[0], order))])
+        terms.append((Fraction((-1) ** (m + 1), m), D))
+    return terms
 
 
 def _rational_matrix(rows):
@@ -440,16 +474,18 @@ def group_log_constraints(S: Scenario) -> list:
     if S.phi is None or S.basis_matrices is None:
         raise ShapeMismatch("group_valued scenarios need phi and basis_matrices")
     order = S.truncation_order
-    dim = len(S.phi)
     table = S.table
-    phi = tuple(tuple(S.phi[i][j] for j in range(dim)) for i in range(dim))
-    N = mat_add(phi, mat_identity(table, dim), -1)
-    for i in range(dim):
-        for j in range(dim):
-            if N[i][j].base_component(0):
+    N = _log_argument(S, order)
+    for i, row in enumerate(N[1]):
+        for j, entry in enumerate(row):
+            if 0 in entry:
                 raise NotNearIdentity(
                     f"phi[{i}][{j}] differs from identity at the origin")
-    fks = _pair_with_basis(S, mat_log(mat_powers(N, order)))
+    _, entries, d = _log(_powers(N, order))
+    fks = _pair_with_basis(S, [[GPoly(table, {m: Fraction(c, d)
+                                              for part in e.values()
+                                              for m, c in part.items()})
+                                for e in row] for row in entries])
 
     base_ids = table.ids_of_kind(Kind.BASE)
     points = S.sample_points or [tuple(Fraction(0) for _ in base_ids)]
@@ -485,31 +521,22 @@ def bch_transport_check(S: Scenario, order: int) -> ValidationReport:
     if len(S.psi) != S.dim_g:
         raise ShapeMismatch("bch_transport_check needs one psi per g-basis element")
     table = S.table
-    dim = len(S.phi)
-    mats = [_rational_matrix(m) for m in S.basis_matrices]
-    phi = tuple(tuple(r) for r in S.phi)
-    powers = mat_powers(mat_add(phi, mat_identity(table, dim), -1), order)
-    nmat = mat_log(powers)
-
-    def const_mat(m):
-        return tuple(tuple(GPoly.const(table, v) for v in row) for row in m)
-
-    ok = True
-    first_bad = None
-    for i, u in enumerate(mats):
-        um = const_mat(u)
-        # the dual part of the log is linear in B: one series for left - right
-        lhs = _dual_log(powers, mat_add(mat_mul(phi, um, order),
-                                        mat_mul(um, phi, order), -1), order)
-        rhs = mat_add(mat_mul(nmat, um, order), mat_mul(um, nmat, order), -1)
-        diff = mat_add(lhs, rhs, -1)
-        for o in range(order + 1):
-            if any(e.base_component(o) for row in diff for e in row):
-                ok = False
-                first_bad = o if first_bad is None else min(first_bad, o)
-                break
-    rep.record("log-transport", ok,
-               "" if ok else f"first failing order {first_bad}")
+    N = _log_argument(S, order)
+    powers = _powers(N, order)
+    nmat = _log(powers)
+    bad = set()
+    for u in S.basis_matrices:
+        um = _integer_matrix(table, [[{0: Fraction(v)} for v in row] for row in u],
+                             order)
+        # Phi u - u Phi = N u - u N, and the dual part of the log is linear
+        # in B: one series for left - right
+        B = _mat_sum([(1, mat_mul(N, um, order)), (-1, mat_mul(um, N, order))])
+        diff = _mat_sum(_dual_log(powers, B, order)
+                        + [(-1, mat_mul(nmat, um, order)),
+                           (1, mat_mul(um, nmat, order))])
+        bad.update(g for row in diff[1] for entry in row for g in entry)
+    rep.record("log-transport", not bad,
+               f"first failing order {min(bad)}" if bad else "")
 
     fks = group_log_constraints(S)
     ok = True

@@ -202,6 +202,18 @@ def test_bch_so3(capsys):
     assert "check.bch.constraint-transport=pass" in out
 
 
+def test_bch_failure_exit_code(tmp_path, capsys):
+    doc = load_preset("group-valued-so3")
+    doc["psi"][0] = doc["psi"][1]
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "bch", "--scenario", str(path), "--order", "3",
+                        "--format", "machine")
+    assert code == 1
+    assert ("check.bch.constraint-transport=fail first failing order 1"
+            in out.splitlines())
+
+
 def test_bch_not_group_valued_is_usage_error(capsys):
     code = main(["bch", "--scenario", "so3-classical", "--format", "machine"])
     captured = capsys.readouterr()

@@ -1,10 +1,12 @@
 """Oracles for the scenario checks that size their work to the answer.
 
 ``ideal_membership`` is a Koszul solve over the cofactor columns that its
-target reaches, and ``mat_mul`` multiplies truncated series.  Both are
-compared here with the straightforward versions they replace, kept below
-as copies: a one-shot ``BlockEchelon`` solve over every column
-``mono * g`` at the full bound, and full matrix products truncated
+target reaches, and the group-valued matrix series run on integers, split
+by base degree over one denominator per matrix, multiplying only the parts
+that stay within the truncation order.  Both are compared here with the
+straightforward versions they replace, kept below as copies: a one-shot
+``BlockEchelon`` solve over every column ``mono * g`` at the full bound,
+and ``Fraction`` matrices of ``GPoly`` multiplied in full and truncated
 afterwards.
 """
 
@@ -17,17 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfvkit.config import parse_scenario
-from bfvkit.errors import NotNearIdentity, RankDeficient, ShapeMismatch
+from bfvkit.errors import (BfvError, NotNearIdentity, RankDeficient,
+                           ShapeMismatch)
 from bfvkit.generators import Kind, bfv1_table
 from bfvkit.gpoly import GPoly, bracket, normalize
 from bfvkit.grammar import parse
 from bfvkit.linalg import BlockEchelon, EchelonSolver
 from bfvkit.presets import load_preset
 from bfvkit.reports import ValidationReport
-from bfvkit.scenario import (_pair_with_basis, _rational_matrix,
+from bfvkit.scenario import (_dual_log, _integer_matrix, _log, _mat_sum,
+                             _pair_with_basis, _powers, _rational_matrix,
                              assemble_constraints, bch_transport_check,
-                             group_log_constraints, ideal_membership, mat_add,
-                             mat_identity, mat_is_zero, mat_mul)
+                             group_log_constraints, ideal_membership, mat_mul)
 from conftest import brute_force_monomials
 
 # -- reference implementations -------------------------------------------
@@ -68,6 +71,20 @@ def one_shot_membership(table, gens, target, bound):
     for (gi, mono), coef in sol.items():
         cof[gi] = cof[gi] + GPoly(table, {mono: coef})
     return cof
+
+
+def mat_identity(table, dim):
+    return tuple(tuple(GPoly.const(table, 1 if i == j else 0)
+                       for j in range(dim)) for i in range(dim))
+
+
+def mat_add(A, B, s=1):
+    return tuple(tuple(a + s * b for a, b in zip(ra, rb))
+                 for ra, rb in zip(A, B))
+
+
+def mat_is_zero(A):
+    return all(not a for ra in A for a in ra)
 
 
 def full_mat_mul(A, B, order):
@@ -307,20 +324,78 @@ def matrix_pairs(draw):
     return matrix(), matrix(), draw(st.integers(0, 5))
 
 
+def to_series(A, order):
+    return _integer_matrix(A[0][0].table, [[a.terms for a in row] for row in A],
+                           order)
+
+
+def from_series(table, M):
+    _codec, entries, d = M
+    return tuple(tuple(GPoly(table, {m: Fraction(c, d) for part in e.values()
+                                     for m, c in part.items()})
+                       for e in row) for row in entries)
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrix_pairs())
 def test_truncated_mat_mul_matches_full_product(case):
     A, B, order = case
-    assert mat_mul(A, B, order) == full_mat_mul(A, B, order)
+    got = mat_mul(to_series(A, order), to_series(B, order), order)
+    assert from_series(SERIES_TABLE, got) == full_mat_mul(A, B, order)
 
 
-@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@settings(max_examples=40, deadline=None)
+@given(matrix_pairs())
+def test_integer_log_series_match_fraction_references(case):
+    A, B, order = case
+    # N drops its base-degree-0 terms, so it vanishes at the origin
+    N = tuple(tuple(a - a.base_component(0) for a in row) for row in A)
+    powers = _powers(to_series(N, order), order)
+    assert from_series(SERIES_TABLE, _log(powers)) == ref_mat_log(N, order)
+    dual = _mat_sum(_dual_log(powers, to_series(B, order), order))
+    phi = mat_add(N, mat_identity(SERIES_TABLE, len(N)))
+    assert from_series(SERIES_TABLE, dual) == ref_dual_log((phi, B), order)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except BfvError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5])
 def test_group_valued_series_match_full_products(order):
+    # at order 0 the log is 0, so the differentials have rank 0
     S = parse_scenario(load_preset("group-valued-so3"))
     S.truncation_order = order
     ref_S = copy.deepcopy(S)
-    assert group_log_constraints(S) == ref_group_log_constraints(ref_S)
+    got = outcome(group_log_constraints, S)
+    assert got == outcome(ref_group_log_constraints, ref_S)
+    assert (got is RankDeficient) == (order == 0)
+    S.truncation_order = ref_S.truncation_order = max(order, 1)
     assemble_constraints(S)
     assemble_constraints(ref_S)
     assert (bch_transport_check(S, order).checks
             == ref_bch_transport_check(ref_S, order).checks)
+
+
+def test_bch_reports_a_failing_transport():
+    S = parse_scenario(load_preset("group-valued-so3"))
+    S.psi[0] = S.psi[1]
+    ref_S = copy.deepcopy(S)
+    rep = bch_transport_check(S, 3)
+    assert rep.checks == ref_bch_transport_check(ref_S, 3).checks
+    assert not rep.passed
+    assert rep.checks[-1].detail == "first failing order 1"
+
+
+def test_series_leave_their_inputs_unchanged():
+    S = parse_scenario(load_preset("group-valued-so3"))
+    phi = [[dict(p.terms) for p in row] for row in S.phi]
+    mats = copy.deepcopy(S.basis_matrices)
+    group_log_constraints(S)
+    assemble_constraints(S)
+    bch_transport_check(S, 4)
+    assert [[p.terms for p in row] for row in S.phi] == phi
+    assert S.basis_matrices == mats
