@@ -176,12 +176,17 @@ def parse_scenario(doc: dict) -> Scenario:
     if doc.get("phi") is not None:
         phi = [[expr(s, f"phi[{i}][{j}]") for j, s in enumerate(row)]
                for i, row in enumerate(doc["phi"])]
+        if any(len(row) != len(phi) for row in phi):
+            raise SchemaError("phi", f"expected a square matrix, rows of {[*map(len, phi)]}")
 
     basis_matrices = None
     if doc.get("basis_matrices") is not None:
         basis_matrices = [
             [[_rat(v, "basis_matrices") for v in row] for row in mat]
             for mat in doc["basis_matrices"]]
+        if phi and any({len(mat), *map(len, mat)} != {len(phi)} for mat in basis_matrices):
+            raise SchemaError("basis_matrices", f"expected {len(phi)} x {len(phi)} "
+                              "matrices, the size of phi")
 
     sample_points = [tuple(_rat(v, "sample_points") for v in pt)
                      for pt in doc.get("sample_points") or []]

@@ -408,6 +408,19 @@ class Derivation:
         _mul_terms(codec, out, _derivatives(codec, terms, "left", self.parts))
         return out
 
+    def columns(self, bases, odds):
+        """apply({b + o: 1}) for b in the even ``bases`` and o in ``odds``,
+        b major: by Leibniz, with no sign as b is even, X_b o + Y_o b for
+        X_b = apply({b: 1}) and Y_o = apply({o: 1}), each prepared once."""
+        codec = self.table.codec
+        ys = [(_prepared(codec, self.apply({o: 1})), o) for o in odds]
+        for b in bases:
+            x = _prepared(codec, self.apply({b: 1}))
+            for y, o in ys:
+                out = {}
+                _mul_terms(codec, out, [(x, o, 1), (y, b, 1)])
+                yield out
+
     def __call__(self, F: GPoly) -> GPoly:
         """The exact image of F: {F', F} for the F' compiled here."""
         D = self.denominator

@@ -25,27 +25,34 @@ kernel of :mod:`bfvkit.gpoly` that also builds the ansatz columns of
 :mod:`bfvkit.engine`.  Every l_k value is checked to lie in K; one that
 leaves it raises InternalSignError.
 
-The H^0 probe lists its spaces of K directly (:func:`_k_monomials`) and
-runs on the kernel's integers: each column is D * l_1(m), and K membership
-is one AND against the codec's mask of the fields outside K.  Scaling
-every column by the same D leaves each kernel, span and residual
-unchanged.  Keys are relabelled once: a monomial of the bounded ghost 0
-space by its index in that space's sorted list, any other key by -1, -2,
-..., so the in-span test is a sign test.  The probe is one pass over the
-blocks of columns, which have disjoint keys.  The min-key solver ``img``
-takes each block's ghost -1 columns untracked and eliminates negative keys
-first: the block's image rank r_B is its number of pivots >= 0.  The
-kernel dimension k_B is a :func:`~bfvkit.linalg.rank`; r_B > k_B means
-l_1^2 != 0.  Only where k_B > r_B does a :func:`~bfvkit.linalg.kernel` give
-kernel vectors, which ``img`` reduces, holding the independent residuals as
-representatives.  Index order is monomial order, so its pivots, and so
-the printed representatives, are the monomial order's.
+The H^0 probe lists its spaces of K as products b o of an even base
+monomial and a set of odd ghosts (:func:`_k_factors`) and runs on the
+kernel's integers: each column is D * l_1(b o) = X_b o + Y_o b by Leibniz,
+l_1 applied once per factor (:meth:`~bfvkit.gpoly.Derivation.columns`),
+and K membership is one AND against the codec's mask of the fields outside
+K.  Scaling every column by the same D leaves each kernel, span and
+residual unchanged.  One pass labels the keys, a monomial of the bounded
+ghost 0 space by its index in that space's sorted list and any other key
+by -1, -2, ..., so the in-span test is a sign test; it also joins each
+column to its block and counts the holders of each negative label.  A
+column holding a negative label that no other column holds is private,
+and no elimination sees it: a private ghost -1 column has coefficient 0 in
+every image combination inside the bound, and a private ghost 0 column is
+independent of its block.  The probe is one loop over the blocks, which
+have disjoint keys.  The min-key solver ``img`` takes each block's ghost
+-1 columns untracked and eliminates negative keys first: the block's image
+rank r_B is its number of pivots >= 0.  The kernel dimension k_B is a
+:func:`~bfvkit.linalg.rank`; r_B > k_B means l_1^2 != 0.  Only where
+k_B > r_B does a :func:`~bfvkit.linalg.kernel` give kernel vectors, which
+``img`` reduces, holding the independent residuals as representatives.
+Index order is monomial order, so its pivots, and so the printed
+representatives, are the monomial order's.
 """
 
 from __future__ import annotations
 
 import warnings
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import chain, combinations, combinations_with_replacement, groupby
 
 from .engine import _reached_solve
 from .errors import InternalSignError, NotInLagrangian, TruncationWarning
@@ -191,12 +198,12 @@ def homotopy_jacobi_residual(tower: BracketTower, f, g, h) -> GPoly:
 # bounded cohomology probe
 
 
-def _k_monomials(table, total_ghost: int, max_base_degree: int) -> list:
-    """Monomials of K of total ghost number ``total_ghost`` and base degree
-    at most ``max_base_degree``, in tuple order.  Every generator of K but
-    the base coordinates is odd (c_i of degree 1, B_p of degree -1), so a
-    monomial is a base monomial times a set of c's and a set of B's, and
-    its total ghost number is #c - #B."""
+def _k_factors(table, total_ghost: int, max_base_degree: int):
+    """(bases, odds), each sorted: the keys of the base monomials of degree
+    at most ``max_base_degree`` and of the sets of c's and B's of total
+    ghost number ``total_ghost``.  Every generator of K but the base
+    coordinates is odd (c_i of degree 1, B_p of degree -1), so the
+    monomials of K are the products b + o, of total ghost number #c - #B."""
     unit = table.codec.unit
     cs, Bs = table.ids_of_kind(Kind.GHOST_G), table.ids_of_kind(Kind.ANTIGHOST_H)
     # tuple order compares base parts first: the products of the sorted base
@@ -208,9 +215,14 @@ def _k_monomials(table, total_ghost: int, max_base_degree: int) -> list:
                    for d in range(max_base_degree + 1)
                    for base in combinations_with_replacement(
                        table.ids_of_kind(Kind.BASE), d))
-    bkeys = [sum(unit[g] for g in base) for _evens, base in bases]
-    okeys = [sum(unit[g] for g in odd) for odd in odds]
-    return [b + o for b in bkeys for o in okeys]
+    return ([sum(unit[g] for g in base) for _evens, base in bases],
+            [sum(unit[g] for g in odd) for odd in odds])
+
+
+def _k_monomials(table, total_ghost: int, max_base_degree: int) -> list:
+    """The monomials of K of :func:`_k_factors`, in tuple order."""
+    bases, odds = _k_factors(table, total_ghost, max_base_degree)
+    return [b + o for b in bases for o in odds]
 
 
 class ProbeReport:
@@ -245,39 +257,49 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
     """
     table = tower.table
     rep = ProbeReport(degree_bound)
-    dom0 = _k_monomials(table, 0, degree_bound)
-    domm = _k_monomials(table, -1, degree_bound)
+    spaces = [_k_factors(table, 0, degree_bound), _k_factors(table, -1, degree_bound)]
+    dom0 = [b + o for b in spaces[0][0] for o in spaces[0][1]]
     rep.dim_space = n0 = len(dom0)
 
     # columns: the ghost 0 monomials (indices below n0), then the ghost -1
-    # monomials, each D * l_1(m) as an integer vector.  Keys are relabelled
-    # once: a monomial of dom0 by its index, any other key by -1, -2, ...
+    # monomials.  Each links to the owner of each label it holds, the first
+    # column holding it or a dom0 label's own column.  The blocks fix the
+    # order of the kernel vectors, and so which representatives print.
     outside = table.codec.outside
     label = {m: i for i, m in enumerate(dom0)}
-    cols = []
-    for key in dom0 + domm:
-        col = {}
-        for k, v in tower.ad_q.apply({key: 1}).items():
+    first, held = [], []  # per negative label ~i: its owner, its holders
+    cols, links = [], []
+    for j, image in enumerate(chain(*(tower.ad_q.columns(*f) for f in spaces))):
+        col, link = {}, []
+        for k, v in image.items():
             i = label.get(k)
             if i is None:
                 if k & outside:
                     _checked(GPoly(table, {k: 1}))
-                i = label[k] = n0 - len(label) - 1
+                i = label[k] = ~len(first)
+                first.append(j)
+                held.append(1)
+            elif i < 0:
+                link.append(first[~i])
+                held[~i] += 1
+            else:
+                link.append(i)
             col[i] = v
         cols.append(col)
+        links.append(link)
 
-    # blocks of columns that share a key: a ghost 0 column's keys are its
-    # image and its own monomial, so a ghost -1 column joins the ghost 0
-    # monomials in its image.  The blocks fix the order of the kernel
-    # vectors, and so which representatives print.
-    supports = [list(cols[i]) + [i] for i in range(n0)] + cols[n0:]
+    # a negative label is held by columns of one ghost only, so img and k_B
+    # leave out the private columns (see the module docstring)
+    private = {first[i] for i, n in enumerate(held) if n == 1}
     img = EchelonSolver()
-    for block in connected_blocks(supports):
+    for block in connected_blocks(links):
         g0 = {i: cols[i] for i in block if i < n0}
         for i in block[len(g0):]:  # ascending: the ghost -1 columns
-            img.add_column(None, cols[i])
+            if i not in private:
+                img.add_column(None, cols[i])
         r_b = sum(i in img.pivots for i in g0)
-        k_b = len(g0) - rank(g0)
+        rest = {i: col for i, col in g0.items() if i not in private}
+        k_b = len(rest) - rank(rest)
         rep.dim_kernel += k_b
         rep.dim_image += r_b
         if r_b > k_b:

@@ -159,27 +159,25 @@ def rank(columns: dict) -> int:
     return _sparse_echelon(columns, False).rank()
 
 
-def connected_blocks(supports) -> list:
-    """Indices of the key sets ``supports`` grouped into classes connected
-    through shared keys; each class ascending, classes by first index.
-    A union-find: each key is owned by the first set holding it, and each
-    root is the least index of its class."""
-    parent = list(range(len(supports)))
+def connected_blocks(links) -> list:
+    """The indices of ``links`` grouped into the classes that joining each
+    i to every index of ``links[i]`` connects; each class ascending,
+    classes by first index.  A union-find whose roots are the least index
+    of their class."""
+    parent = list(range(len(links)))
 
     def root(i):
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         return i
 
-    owner = {}
-    for i, keys in enumerate(supports):
-        r = i  # the root of i's class
-        for k in keys:
-            j = owner.setdefault(k, i)
-            if j != i and (j := root(j)) != r:
+    for i, js in enumerate(links):
+        r = root(i)
+        for j in js:
+            if (j := root(j)) != r:
                 parent[max(j, r)] = r = min(j, r)
     blocks = {}
-    for i in range(len(supports)):
+    for i in range(len(links)):
         blocks.setdefault(root(i), []).append(i)
     return list(blocks.values())
 
@@ -197,7 +195,9 @@ class BlockEchelon:
         cols = [(tag, dict(vec)) for tag, vec in columns if vec]
         self.key_block = {}
         self.blocks = []
-        for block in connected_blocks([vec for _tag, vec in cols]):
+        owner = {}  # each key joins the first column holding it
+        for block in connected_blocks([[owner.setdefault(k, i) for k in vec]
+                                       for i, (_tag, vec) in enumerate(cols)]):
             es = EchelonSolver()
             for i in block:
                 tag, vec = cols[i]

@@ -338,6 +338,36 @@ def test_malformed_document_entries_are_schema_errors(tmp_path, capsys, name,
     assert f"key '{key}': expected " in captured.err
 
 
+def widen_phi(doc):
+    # 1 * x1 appended to every row of phi: 3 x 4, whose fourth column was
+    # ignored, so validate and bch exited 0
+    doc["phi"] = [row + ["1 * x1"] for row in doc["phi"]]
+
+
+def shrink_basis_matrix(doc):
+    doc["basis_matrices"][1] = [row[:2] for row in doc["basis_matrices"][1][:2]]
+
+
+@pytest.mark.parametrize("change, key, message", [
+    (widen_phi, "phi", "expected a square matrix, rows of [4, 4, 4]"),
+    (lambda doc: doc["phi"].pop(), "phi", "expected a square matrix"),
+    (shrink_basis_matrix, "basis_matrices",
+     "expected 3 x 3 matrices, the size of phi")],
+    ids=["phi-3x4", "phi-2x3", "basis-matrix-2x2"])
+@pytest.mark.parametrize("argv", [["validate"], ["bch", "--order", "3"]])
+def test_group_valued_matrix_shapes_are_schema_errors(tmp_path, capsys, change,
+                                                      key, message, argv):
+    doc = load_preset("group-valued-so3")
+    change(doc)
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    code = main(argv + ["--scenario", str(path), "--format", "machine"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"key '{key}': {message}" in captured.err
+
+
 def test_bch_without_psi_is_usage_error(tmp_path, capsys):
     # psi[i - 1] raised an IndexError: exit 1 with a traceback
     doc = load_preset("group-valued-so3")

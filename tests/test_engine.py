@@ -18,6 +18,7 @@ from bfvkit.grammar import parse
 from bfvkit.liedata import preset_lie
 from bfvkit.linalg import BlockEchelon, connected_blocks
 from conftest import brute_force_monomials
+from test_linalg import key_owners
 
 
 @pytest.fixture(scope="module")
@@ -553,7 +554,7 @@ def touched_columns(columns, target):
     keys) that hold a key of target, in column order."""
     cols = [(tag, vec) for tag, vec in columns if vec]
     return [cols[i][0] for i in sorted(
-        i for block in connected_blocks([vec for _, vec in cols])
+        i for block in connected_blocks(key_owners(vec for _, vec in cols))
         if any(k in target for i in block for k in cols[i][1])
         for i in block)]
 

@@ -2,6 +2,7 @@
 
 import copy
 import types
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -711,6 +712,24 @@ def test_h0_probe_matches_reference(request, preset, tower_name, degree):
     assert got.dim_h0 > 0
 
 
+@pytest.mark.parametrize("tower_name", [
+    "so3_tower", "quasi_tower", "aff1_tower", "abelian_tower", "dgla_tower",
+    "group_tower", "so3_rescaled_tower", "dgla_rescaled_tower"])
+@pytest.mark.parametrize("total_ghost", [0, -1])
+def test_leibniz_columns_match_apply(request, tower_name, total_ghost):
+    # the probe's columns X_b o + Y_o b against D * l_1(b o) applied to each
+    # monomial of K, in the same order
+    tower = request.getfixturevalue(tower_name)
+    if "rescaled" in tower_name:
+        assert tower.ad_q.denominator > 1
+    bases, odds = homotopy._k_factors(tower.table, total_ghost, 3)
+    want = [tower.ad_q.apply({m: 1})
+            for m in _k_monomials(tower.table, total_ghost, 3)]
+    assert list(tower.ad_q.columns(bases, odds)) == want
+    # with no antighost, K has no ghost -1 monomials
+    assert any(want) or not (want or tower.table.ids_of_kind(Kind.ANTIGHOST_H))
+
+
 def probe_eliminations(monkeypatch, S, tower, degree):
     """(report, [(name, solver, columns)]): the solver of each
     ``linalg.rank`` and ``linalg.kernel`` call that h0_probe makes, with
@@ -750,11 +769,15 @@ def test_probe_sparse_pivot_kernels_match_min_key(request, monkeypatch, preset,
     S = request.getfixturevalue(preset)
     tower = request.getfixturevalue(tower_name)
     rep, calls = probe_eliminations(monkeypatch, S, tower, degree)
-    # every ghost 0 column is ranked once, in its block; kernel vectors are
-    # built only in the blocks that hold a class
+    # every ghost 0 column is ranked once, in its block, but for the private
+    # ones: those holding a ghost +1 key that no other ghost 0 column holds.
+    # Kernel vectors are built only in the blocks that hold a class
+    images = [tower.ad_q.apply({m: 1}) for m in _k_monomials(S.table, 0, degree)]
+    holders = Counter(k for image in images for k in image)
+    private = sum(any(holders[k] == 1 for k in image) for image in images)
     ranked = [cols for name, _es, cols in calls if name == "rank"]
     kernels = [cols for name, _es, cols in calls if name == "kernel"]
-    assert sum(len(cols) for cols in ranked) == rep.dim_space
+    assert 0 < private and sum(len(cols) for cols in ranked) + private == rep.dim_space
     assert 0 < len(kernels) <= rep.dim_h0 < len(ranked)
     for name, es, cols in calls:
         plain = EchelonSolver()
@@ -778,8 +801,8 @@ def hand_made_tower(t, images):
     and whose l_2 vanishes."""
     class HandMade:
         table = t
-        ad_q = types.SimpleNamespace(
-            apply=lambda terms: dict(images.get(next(iter(terms)), {})))
+        ad_q = types.SimpleNamespace(columns=lambda bases, odds: (
+            dict(images.get(b + o, {})) for b in bases for o in odds))
 
         def ell2_table(self, fs, gs):
             return [[GPoly.zero(t) for _g in gs] for _f in fs]
@@ -806,6 +829,36 @@ def test_probe_on_a_hand_made_l1(so3_classical):
         {e[i]: 1} for i in range(5, len(dom0))]
     assert [r.terms for r in rep.representatives] == want
     assert rep.closure_ok and all(not v for v in rep.table.values())
+
+
+def test_probe_private_ghost_minus_one_column_leaves_the_image(so3_classical):
+    # l_1 sends a ghost -1 monomial to e0 + X, with X = x1^2 beyond the
+    # bound and held by no other column, and another to 2 e0 + e1: no
+    # combination inside the span uses the first, so its e0 is no image
+    t = so3_classical.table
+    dom0, domm = _k_monomials(t, 0, 1), _k_monomials(t, -1, 1)
+    e = dict(enumerate(dom0))
+    (X,) = parse(t, "1 * x1^2").terms
+    images = {domm[0]: {e[0]: 1, X: 1}, domm[1]: {e[0]: 2, e[1]: 1}}
+    rep = h0_probe(so3_classical, hand_made_tower(t, images), 1)
+    assert (rep.dim_kernel, rep.dim_image) == (len(dom0), 1)
+    # e0 reduces modulo 2 e0 + e1 to -e1 / 2, and e1 then depends on it
+    assert [r.terms for r in rep.representatives][:2] == [
+        {e[1]: Fraction(-1, 2)}, {e[2]: 1}]
+    assert rep.dim_h0 == len(dom0) - 1
+
+
+def test_probe_private_ghost_zero_column_leaves_the_rank(so3_classical):
+    # l_1 sends e0 to c1 and e1 to c1 + c2: c2 is private to e1's column,
+    # so the block's kernel is that of e0's column alone, which is zero
+    t = so3_classical.table
+    dom0 = _k_monomials(t, 0, 1)
+    (c1,), (c2,) = parse(t, "1 * c1").terms, parse(t, "1 * c2").terms
+    images = {dom0[0]: {c1: 1}, dom0[1]: {c1: 1, c2: 1}}
+    rep = h0_probe(so3_classical, hand_made_tower(t, images), 1)
+    assert (rep.dim_kernel, rep.dim_image) == (len(dom0) - 2, 0)
+    assert [r.terms for r in rep.representatives] == [
+        {m: 1} for m in dom0[2:]]
 
 
 def test_probe_rejects_l1_that_does_not_square_to_zero(so3_classical):

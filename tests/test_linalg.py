@@ -279,6 +279,13 @@ def test_rank_and_kernel_split_the_columns(system, integral):
     assert linalg.rank(cols) + len(kernel(cols)) == len(cols)
 
 
+def key_owners(supports):
+    """connected_blocks links of key sets: for each set, the first set that
+    holds each of its keys."""
+    owner = {}
+    return [[owner.setdefault(k, i) for k in keys] for i, keys in enumerate(supports)]
+
+
 def search_blocks(supports):
     """The classes of connected_blocks by a search over the column/key
     graph that expands each key once."""
@@ -307,4 +314,18 @@ def search_blocks(supports):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 15), max_size=4), max_size=16))
 def test_connected_blocks_match_search(supports):
-    assert connected_blocks(supports) == search_blocks(supports)
+    assert connected_blocks(key_owners(supports)) == search_blocks(supports)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 15), max_size=3), max_size=16))
+def test_connected_blocks_join_links_either_way(links):
+    # a link to a later index joins as one to an earlier index does: both
+    # ends of link (i, j) hold the key (i, j)
+    links = [[j % len(links) for j in js] for js in links]
+    supports = [[] for _ in links]
+    for i, js in enumerate(links):
+        for j in js:
+            supports[i].append((i, j))
+            supports[j].append((i, j))
+    assert connected_blocks(links) == search_blocks(supports)
