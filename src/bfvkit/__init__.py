@@ -3,12 +3,12 @@ k-ary bracket towers for polynomial reduction scenarios, over rationals.
 """
 
 from .generators import GeneratorTable, Kind, bfv0_table, bfv1_table
-from .gpoly import GPoly, bracket, mul, normalize
+from .gpoly import GPoly, bracket, normalize
 from .grammar import parse, serialize
 
 __all__ = [
     "GeneratorTable", "Kind", "bfv0_table", "bfv1_table",
-    "GPoly", "bracket", "mul", "normalize", "parse", "serialize",
+    "GPoly", "bracket", "normalize", "parse", "serialize",
 ]
 
 __version__ = "0.1.0"

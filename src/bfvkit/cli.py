@@ -6,13 +6,15 @@ one ``key=value`` line per item using the canonical expression grammar and
 is byte-identical across runs; text format adds no wall-clock data to
 stdout either (timing goes to stderr).
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage or parse error,
-3 a bounded solve was inconclusive (NotFound).
+Exit codes: 0 all checks passed, 1 a check failed, 2 usage or parse error
+(a document file that cannot be read, malformed JSON, a malformed
+expression), 3 a bounded solve was inconclusive (NotFound).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 
@@ -262,7 +264,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         code = run(args.command, args)
-    except (ParseError, SchemaError, FileNotFoundError) as exc:
+    except (ParseError, SchemaError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotFound as exc:

@@ -83,10 +83,6 @@ def build_charge_deg1(S: Scenario) -> GPoly:
     return Q
 
 
-def brst_apply(Q: GPoly, F: GPoly) -> GPoly:
-    return bracket(Q, F)
-
-
 def master_residual(Q: GPoly) -> GPoly:
     return Fraction(1, 2) * bracket(Q, Q)
 
@@ -112,7 +108,7 @@ def _shift_part(Q: GPoly, shift) -> Derivation:
     parts = inner_derivation(Q).by_shift()
     for s, op in parts.items():
         if s not in ((0, -1), (1, 0)):
-            zb = Q.table.gen(next(iter(op.terms)))
+            zb = Q.table.gen(next(iter(op.nums)))
             raise NotBihomogeneous(
                 f"{{Q, .}} shifts bidegrees by {s} through "
                 f"({Q.table.gen(zb.conjugate).name}, {zb.name})")
@@ -141,17 +137,20 @@ def _reached_solve(op, target: GPoly, shapes, bounds):
     b, for b in ``bounds`` until one solves.  Only the columns holding a key
     of the target or of a posed column are posed: the blocks of the full
     system that the target touches, in its column order (shape, then
-    monomial), so the solution is the full system's.  Returns (solution or
-    None, {posed monomial: image}, rank), each image the integers
+    monomial), so the solution is the full system's.  Returns (solution
+    GPoly or None, {posed monomial: image}, rank), each image the integers
     D * op(m) of ``op.apply``, computed once.
     """
     order = {shape: i for i, shape in enumerate(shapes)}
-    codec = target.table.codec
-    # the columns are op.apply's integers D * op(m), so the target is D * target
-    scaled = {k: c * op.denominator for k, c in target.terms.items()}
+    table = target.table
+    codec = table.codec
+    # the columns are op.apply's integers D * op(m), so D * num is posed:
+    # its solution is den times the target's
+    D = op.denominator
+    scaled = target.num if D == 1 else {k: c * D for k, c in target.num.items()}
     images, columns, es, sol = {}, {}, EchelonSolver(), None
     for bound in bounds:
-        columns, keys, reached = {}, list(target.terms), set(target.terms)
+        columns, keys, reached = {}, list(target.num), set(target.num)
         while keys:
             k = keys.pop()
             for m in derivation_sources(op, k):
@@ -169,8 +168,10 @@ def _reached_solve(op, target: GPoly, shapes, bounds):
         es = EchelonSolver()
         for m in sorted(columns, key=lambda m: (columns[m], codec.unpack(m))):
             es.add_column(m, images[m])
-        sol = es.solve(scaled)
+        sol = es.solve_pair(scaled)
         if sol is not None:
+            combo, scale = sol
+            sol = GPoly._make(table, combo, scale * target.den)
             break
     return sol, {m: images[m] for m in columns}, es.rank()
 
@@ -186,13 +187,12 @@ def koszul_solve(S: Scenario, Q: GPoly, R: GPoly, ansatz_degree: int) -> GPoly:
     if len(bids) > 1 or len(degs) > 1:
         raise NotBihomogeneous("koszul_solve expects a bihomogeneous right side")
     shape = (degs[0] - 1, bids[0][0], bids[0][1] + 1)
-    sol, cols, rank = _reached_solve(_shift_part(Q, (0, -1)), R, [shape],
-                                     [ansatz_degree])
-    if sol is None:
+    P, cols, rank = _reached_solve(_shift_part(Q, (0, -1)), R, [shape],
+                                   [ansatz_degree])
+    if P is None:
         raise NotFound(f"no Koszul preimage in the bounded ansatz: shape "
                        f"{shape}, {len(cols)} columns, rank {rank}",
                        ansatz_degree)
-    P = GPoly(S.table, {m: c for m, c in sol.items() if c})
     if delta_v(Q, P) != R:
         raise NotFound("bounded Koszul solve failed verification", ansatz_degree)
     return P
@@ -273,7 +273,7 @@ def cocycle_lift(S: Scenario, Q: GPoly, ansatz_degree: int = 4) -> GPoly:
     # bound escalates, so small corrections are found cheaply and only a
     # failure at the full bound raises.
     target = -bracket(Q, pi)
-    sol = {}
+    sol = GPoly.zero(table)
     if target:
         sol, cols, rank = _reached_solve(
             inner_derivation(Q), target,
@@ -283,7 +283,7 @@ def cocycle_lift(S: Scenario, Q: GPoly, ansatz_degree: int = 4) -> GPoly:
             f"no cocycle lift in the bounded ansatz: shapes (2, g, g) for g "
             f"in 1..{S.dim_h + 2}, {len(cols)} columns, rank {rank}",
             ansatz_degree)
-    Pi = pi + GPoly(table, {m: c for m, c in sol.items() if c})
+    Pi = pi + sol
     if bracket(Q, Pi):
         raise LiftNotFound("cocycle lift failed verification", ansatz_degree)
     return Pi

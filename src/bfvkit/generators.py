@@ -171,6 +171,7 @@ class MonomialCodec:
         self.unit = {g: 1 << j for j, g in enumerate(self.odd_ids)}
         self.unit.update({g: 1 << (n + i * self.WIDTH)
                           for i, g in enumerate(self.even_ids)})
+        self.gid_of_unit = {u: g for g, u in self.unit.items()}
         full = {g: self.unit[g] * (1 if g in table.odd_ids else self.FIELD)
                 for g in self.unit}
         self.weights = {g.gid: (g.degree, g.ghost, g.antighost)

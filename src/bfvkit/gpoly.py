@@ -3,10 +3,15 @@
 A monomial is one int, packed by the table's
 :class:`~bfvkit.generators.MonomialCodec`: a bit per odd generator and an
 exponent field per even generator, so that the constant 1 is key 0.  A
-:class:`GPoly` maps monomials to nonzero :class:`fractions.Fraction`
-coefficients; equal polynomials have identical term dictionaries, so
-equality of canonical forms is dictionary equality.  Odd generators are
-ordered by id inside a monomial.
+:class:`GPoly` holds integer numerators over one denominator,
+``num = {monomial: nonzero int}`` over ``den > 0``, kept canonical by
+``gcd(den, *num.values()) == 1``: equal polynomials have equal ``den``
+and equal ``num``, so equality is dictionary equality.  Every operation
+runs on the integers (a sum over the lcm of the denominators, a product
+or a bracket over their product) and reduces its result once by one gcd.
+``terms`` is a read-only {monomial: :class:`fractions.Fraction`} view for
+callers off the hot paths.  Odd generators are ordered by id inside a
+monomial.
 
 Two rules act on packed keys, each written once.  A product
 (:func:`mul_into`) is an integer add, zero when the odd masks meet, with
@@ -37,15 +42,17 @@ compatible with the Leibniz rule above and is not used here.
 
 An inner derivation {F, .} = sum_b coef_b * d/dz_b|L is compiled once per
 F (:class:`Derivation`, cached on F like its derivatives), with its
-coefficients scaled to integers by one common denominator D:
-``Derivation.apply`` gives D * {F, .} on integer columns, which have the
-same kernels and spans, and calling the derivation divides by D.
+coefficients scaled to integers by their least common denominator D, read
+off F's own ``den``: ``Derivation.apply`` gives D * {F, .} on integer
+columns, which have the same kernels and spans, and calling the
+derivation puts the image over D times the argument's ``den``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .errors import TableMismatch
 from .generators import GeneratorTable
@@ -110,36 +117,70 @@ def _derivatives(codec, terms: dict, side: str, label: dict) -> list:
     return out
 
 
-class GPoly:
-    """Canonical polynomial in the generators of a fixed table.
+def _ratio(value) -> tuple:
+    """(numerator, denominator) of a rational scalar."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, value.denominator
 
-    Values are treated as immutable after construction; derivatives and the
+
+class GPoly:
+    """Canonical polynomial ``num / den`` in the generators of a fixed table.
+
+    Values are immutable: the public constructor copies its terms, and the
+    package hands fresh dicts to :meth:`_make`.  The hash, derivatives and
     compiled inner derivation are cached per instance, which makes repeated
     brackets against a fixed polynomial (a charge, a bivector) cheap.
     """
 
-    __slots__ = ("table", "terms", "_cache")
+    __slots__ = ("table", "num", "den", "_hash", "_cache")
 
     def __init__(self, table: GeneratorTable, terms: dict | None = None):
-        self.table = table
-        self.terms = terms or {}
-        self._cache = None
+        """From rational terms {monomial: int or Fraction}, zeros dropped.
+        Over the lcm of the reduced denominators the numerators already
+        have no common factor with it, so nothing is reduced."""
+        pairs = [(k, _ratio(c)) for k, c in (terms or {}).items() if c]
+        den = lcm(*(q for _k, (_p, q) in pairs))
+        self.table, self.den, self._hash, self._cache = table, den, None, None
+        self.num = {k: p * (den // q) for k, (p, q) in pairs}
+
+    @classmethod
+    def _make(cls, table, num: dict, den: int = 1) -> "GPoly":
+        """``num / den`` from a fresh {monomial: nonzero int} dict that no
+        one else holds and a positive ``den``, reduced by one gcd."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {k: v // g for k, v in num.items()}
+                den //= g
+        self = object.__new__(cls)
+        self.table, self.num, self.den, self._hash, self._cache = table, num, den, None, None
+        return self
+
+    @property
+    def terms(self):
+        """The read-only {monomial: Fraction} view (built once)."""
+        def build():
+            den = self.den
+            return MappingProxyType({k: Fraction(v, den) for k, v in self.num.items()})
+
+        return self._cached("terms", build)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, table) -> "GPoly":
-        return cls(table, {})
+        return cls._make(table, {})
 
     @classmethod
     def const(cls, table, value) -> "GPoly":
-        value = Fraction(value)
-        return cls(table, {0: value} if value else {})
+        p, q = _ratio(value)
+        return cls._make(table, {0: p} if p else {}, q)
 
     @classmethod
     def gen(cls, table, gid: int) -> "GPoly":
         table.gen(gid)  # raises UnknownGenerator
-        return cls(table, {table.codec.unit[gid]: Fraction(1)})
+        return cls._make(table, {table.codec.unit[gid]: 1})
 
     @classmethod
     def var(cls, table, name: str) -> "GPoly":
@@ -152,31 +193,38 @@ class GPoly:
             raise TableMismatch("operands use different generator tables")
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other):
         if not isinstance(other, GPoly):
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        return self.den == other.den and self.num == other.num \
+            and self.table == other.table
 
     def __hash__(self):
-        return hash((self.table, frozenset(self.terms.items())))
+        if self._hash is None:
+            self._hash = hash((self.table, self.den, frozenset(self.num.items())))
+        return self._hash
 
     def __neg__(self):
-        return GPoly(self.table, {m: -c for m, c in self.terms.items()})
+        return GPoly._make(self.table, {m: -c for m, c in self.num.items()}, self.den)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = GPoly.const(self.table, other)
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) + c
+        d1, d2 = self.den, other.den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        s1, s2 = den // d1, den // d2
+        out = dict(self.num) if s1 == 1 else {m: c * s1 for m, c in self.num.items()}
+        get = out.get
+        for m, c in other.num.items():
+            v = get(m, 0) + c * s2
             if v:
                 out[m] = v
             else:
-                out.pop(m, None)
-        return GPoly(self.table, out)
+                del out[m]
+        return GPoly._make(self.table, out, den)
 
     __radd__ = __add__
 
@@ -187,14 +235,15 @@ class GPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            p, q = other.numerator, other.denominator
+            if not p:
                 return GPoly.zero(self.table)
-            return GPoly(self.table, {m: v * c for m, v in self.terms.items()})
+            return GPoly._make(self.table, {m: v * p for m, v in self.num.items()},
+                               self.den * q)
         self._check(other)
         out = {}
-        mul_into(self.table.codec, out, self.terms, other.terms)
-        return GPoly(self.table, out)
+        mul_into(self.table.codec, out, self.num, other.num)
+        return GPoly._make(self.table, out, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -213,10 +262,10 @@ class GPoly:
         return self.table.codec.base_degree(m)
 
     def degree_support(self):
-        return sorted({self.mono_degree(m) for m in self.terms})
+        return sorted({self.mono_degree(m) for m in self.num})
 
     def ghost_support(self):
-        return sorted({self.mono_ghost(m) for m in self.terms})
+        return sorted({self.mono_ghost(m) for m in self.num})
 
     def is_homogeneous(self) -> bool:
         return len(self.degree_support()) <= 1
@@ -234,38 +283,44 @@ class GPoly:
         deg = self.degree()
         return 0 if deg is None else deg % 2
 
+    def _split(self, part) -> dict:
+        """{part(m): the terms of the monomials m with that value}."""
+        out = {}
+        for m, c in self.num.items():
+            out.setdefault(part(m), {})[m] = c
+        return {k: GPoly._make(self.table, v, self.den) for k, v in out.items()}
+
     def grade_components(self) -> dict:
         """Split into parts indexed by (total ghost number, function degree)."""
-        out = {}
-        for m, c in self.terms.items():
-            deg, gh, ag = self.table.codec.grading(m)
-            out.setdefault((gh - ag, deg), {})[m] = c
-        return {k: GPoly(self.table, v) for k, v in out.items()}
+        grading = self.table.codec.grading
+
+        def grade(m):
+            deg, gh, ag = grading(m)
+            return gh - ag, deg
+
+        return self._split(grade)
 
     def bidegree_components(self) -> dict:
         """Split into parts indexed by (ghost number, antighost number)."""
-        out = {}
-        for m, c in self.terms.items():
-            out.setdefault(self.mono_ghost(m), {})[m] = c
-        return {k: GPoly(self.table, v) for k, v in out.items()}
+        return self._split(self.mono_ghost)
 
     def base_truncate(self, order: int) -> "GPoly":
         """Drop terms of base-coordinate polynomial degree > order."""
-        return GPoly(self.table, {m: c for m, c in self.terms.items()
-                                  if self.mono_base_degree(m) <= order})
+        return GPoly._make(self.table, {m: c for m, c in self.num.items()
+                                        if self.mono_base_degree(m) <= order}, self.den)
 
     def base_component(self, degree: int) -> "GPoly":
-        return GPoly(self.table, {m: c for m, c in self.terms.items()
-                                  if self.mono_base_degree(m) == degree})
+        return GPoly._make(self.table, {m: c for m, c in self.num.items()
+                                        if self.mono_base_degree(m) == degree}, self.den)
 
     def max_base_degree(self) -> int:
-        return max((self.mono_base_degree(m) for m in self.terms), default=0)
+        return max((self.mono_base_degree(m) for m in self.num), default=0)
 
     def kinds_used(self):
         """Kinds of the generators that occur in some term; a field of the
         OR of all keys is nonzero exactly when some term has that generator."""
         present = 0
-        for m in self.terms:
+        for m in self.num:
             present |= m
         evens, odds = self.table.codec.unpack(present)
         return {self.table.gen(g).kind for g in [g for g, _e in evens] + list(odds)}
@@ -280,51 +335,54 @@ class GPoly:
             value = self._cache[key] = build()
         return value
 
-    def partials(self, side: str, gids) -> dict:
-        """{gid: dF/dz_gid} holding at least the given generators, left or
-        right derivatives (cached), the missing ones found in one pass.  No
-        two monomials share a derivative in one generator, so nothing
-        cancels."""
-        known = self._cached(side, dict)
-        unit = self.table.codec.unit
-        missing = {unit[g]: g for g in gids if g not in known}
-        if missing:
-            found = {g: {} for g in missing.values()}
-            for g, m, c in _derivatives(self.table.codec, self.terms, side, missing):
-                found[g][m] = c
-            known.update((g, GPoly(self.table, d)) for g, d in found.items())
-        return known
+    def partials(self, side: str) -> dict:
+        """{gid: numerators of dF/dz_gid over ``den``} for the generators
+        that occur in F, left or right derivatives, found in one pass and
+        cached (not to be changed).  No two monomials share a derivative in
+        one generator, so nothing cancels."""
+        def build():
+            found = {}
+            codec = self.table.codec
+            for g, m, c in _derivatives(codec, self.num, side, codec.gid_of_unit):
+                found.setdefault(g, {})[m] = c
+            return found
+
+        return self._cached(side, build)
 
     def deriv(self, gid: int, side: str = "left") -> "GPoly":
-        """Left or right derivative with respect to one generator (cached)."""
+        """Left or right derivative with respect to one generator."""
         self.table.gen(gid)  # raises UnknownGenerator
-        return self.partials(side, (gid,))[gid]
+        return GPoly._make(self.table, dict(self.partials(side).get(gid, {})), self.den)
 
     def eval_base(self, point: dict) -> "GPoly":
-        """Substitute rational values for base generators (gid -> value)."""
+        """Substitute rational values p/q for base generators (gid -> value):
+        with E the largest exponent of a generator, every term is put over
+        den * q^E, so the sum runs on integers."""
         codec = self.table.codec
-        acc = {}
-        for m, c in self.terms.items():
-            for g, e in codec.unpack(m)[0]:
-                if g in point:
-                    c = c * Fraction(point[g]) ** e
-                    m -= e * codec.unit[g]
-            if not c:
-                continue
-            v = acc.get(m, 0) + c
-            if v:
-                acc[m] = v
+        point = {g: _ratio(v) for g, v in point.items()}
+        terms = [(m, v, dict(codec.unpack(m)[0])) for m, v in self.num.items()]
+        top = {g: max((ev.get(g, 0) for _m, _v, ev in terms), default=0) for g in point}
+        den, acc = self.den, {}
+        for g, E in top.items():
+            den *= point[g][1] ** E
+        for m, v, ev in terms:
+            for g, E in top.items():
+                p, q = point[g]
+                e = ev.get(g, 0)
+                v *= p ** e * q ** (E - e)
+                m -= e * codec.unit[g]
+            w = acc.get(m, 0) + v
+            if w:
+                acc[m] = w
             else:
-                del acc[m]
-        return GPoly(self.table, acc)
+                acc.pop(m, None)
+        return GPoly._make(self.table, acc, den)
 
     def const_value(self) -> Fraction:
         """Value of a generator-free polynomial."""
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) != {0}:
+        if self.num.keys() - {0}:
             raise ValueError("polynomial is not constant")
-        return self.terms[0]
+        return Fraction(self.num.get(0, 0), self.den)
 
     def __str__(self):
         from .grammar import serialize
@@ -335,18 +393,26 @@ class GPoly:
 
 
 def normalize(table: GeneratorTable, raw) -> GPoly:
-    """Build a canonical GPoly from (coefficient, factor-id list) pairs.
+    """Build a canonical GPoly from (rational coefficient, factor-id list)
+    pairs.
 
     Each term is the product of its factors in the order given, so
     reordering odd factors contributes the sign of the sorting permutation
     and a repeated odd factor kills the term.
     """
+    return _normalize(table, [(*_ratio(c), factors) for c, factors in raw])
+
+
+def _normalize(table: GeneratorTable, raw) -> GPoly:
+    """:func:`normalize` of (numerator, positive denominator, factor ids)
+    triples, summed over the lcm of the denominators."""
     codec = table.codec
+    den = lcm(*(q for p, q, _f in raw if p))
     gens, acc = {}, {}
-    for coeff, factors in raw:
-        coeff = Fraction(coeff)
-        if not coeff:
+    for p, q, factors in raw:
+        if not p:
             continue
+        coeff = p * (den // q)
         # the factors from the right, each one a prepared left factor
         term = {0: 1}
         for gid in reversed(factors):
@@ -361,49 +427,47 @@ def normalize(table: GeneratorTable, raw) -> GPoly:
                 acc[m] = v
             else:
                 del acc[m]
-    return GPoly(table, acc)
+    return GPoly._make(table, acc, den)
 
 
 def bracket(F: GPoly, G: GPoly) -> GPoly:
-    """Graded Poisson bracket generated by the table's pairing: a sum of
-    products of packed derivatives."""
+    """Graded Poisson bracket generated by the table's pairing: one product
+    of packed derivative numerators over ``F.den * G.den``."""
     table = F.table
     if table is not G.table and table != G.table:
         raise TableMismatch("bracket operands use different generator tables")
-    dG = G.partials("left", [b for _a, b in table.pairing])
-    pairs = [(a, dG[b].terms, p) for (a, b), p in table.pairing.items()
-             if dG[b].terms]
-    dF = F.partials("right", [a for a, _g, _p in pairs])
+    dF, dG = F.partials("right"), G.partials("left")
     triples = []
-    for a, g_terms, p in pairs:
-        if dF[a].terms:
-            lefts = _prepared(table.codec, dF[a].terms, p)
-            triples.extend((lefts, k, c) for k, c in g_terms.items())
+    for (a, b), p in table.pairing.items():
+        if a in dF and b in dG:
+            lefts = _prepared(table.codec, dF[a], p)
+            triples.extend((lefts, k, c) for k, c in dG[b].items())
     out = {}
     _mul_terms(table.codec, out, triples)
-    return GPoly(table, out)
+    return GPoly._make(table, out, F.den * G.den)
 
 
 class Derivation:
     """A compiled inner derivation {F, .} = sum_b coef_b * d/dz_b|L.
 
-    ``terms`` is {b: coef_b} with rational coefficients; ``parts`` holds
-    each coef_b under the key of z_b, as prepared left factors with its
-    coefficients times the common denominator D.
+    ``nums`` is {b: D * coef_b} with integer coefficients over the least
+    common denominator D (``denominator``); ``parts`` holds each of them
+    under the key of z_b as prepared left factors.
     """
 
-    def __init__(self, table: GeneratorTable, terms: dict):
-        self.table = table
-        self.terms = terms
-        self.denominator = D = lcm(*(c.denominator for coef in terms.values()
-                                     for c in coef.values()))
-        self.parts = {table.codec.unit[b]: _prepared(table.codec, {
-            m: c.numerator * (D // c.denominator) for m, c in coef.items()})
-            for b, coef in terms.items()}
+    def __init__(self, table: GeneratorTable, nums: dict, den: int = 1):
+        """From integer coefficients {b: {monomial: int}} over ``den``,
+        reduced to their least common denominator."""
+        g = gcd(den, *(v for coef in nums.values() for v in coef.values()))
+        if g != 1:
+            nums = {b: {m: v // g for m, v in coef.items()} for b, coef in nums.items()}
+        self.table, self.nums, self.denominator = table, nums, den // g
+        self.parts = {table.codec.unit[b]: _prepared(table.codec, coef)
+                      for b, coef in nums.items()}
         self._shifts = None
 
     def apply(self, terms: dict) -> dict:
-        """D * sum_b coef_b * dF/dz_b|L for F with these terms."""
+        """D * sum_b coef_b * dF/dz_b|L for F with these integer terms."""
         codec, out = self.table.codec, {}
         _mul_terms(codec, out, _derivatives(codec, terms, "left", self.parts))
         return out
@@ -423,22 +487,21 @@ class Derivation:
 
     def __call__(self, F: GPoly) -> GPoly:
         """The exact image of F: {F', F} for the F' compiled here."""
-        D = self.denominator
-        return GPoly(F.table, {m: Fraction(v, D)
-                               for m, v in self.apply(F.terms).items()})
+        return GPoly._make(F.table, self.apply(F.num), self.denominator * F.den)
 
     def by_shift(self) -> dict:
         """{(ghost, antighost) shift: Derivation} (cached): a term t of coef_b
         shifts the bidegree of F by the bidegree of t minus that of z_b."""
         if self._shifts is None:
             split = {}
-            for b, coef in self.terms.items():
+            for b, coef in self.nums.items():
                 zb = self.table.gen(b)
                 for m, c in coef.items():
                     _deg, gh, ag = self.table.codec.grading(m)
                     shift = (gh - zb.ghost, ag - zb.antighost)
                     split.setdefault(shift, {}).setdefault(b, {})[m] = c
-            self._shifts = {s: Derivation(self.table, t) for s, t in split.items()}
+            self._shifts = {s: Derivation(self.table, t, self.denominator)
+                            for s, t in split.items()}
         return self._shifts
 
 
@@ -446,18 +509,18 @@ def inner_derivation(F: GPoly) -> Derivation:
     """{F, .} as {b: coef_b}, coef_b = sum over pairings (a, b) of
     p * dF/dz_a|R, so that {F, G} = sum_b coef_b * dG/dz_b|L (cached)."""
     def build():
-        dF = F.partials("right", [a for a, _b in F.table.pairing])
+        dF = F.partials("right")
         ops = {}
         for (a, b), p in F.table.pairing.items():
-            if dF[a].terms:
+            if a in dF:
                 coef = ops.setdefault(b, {})
-                for m, c in dF[a].terms.items():
+                for m, c in dF[a].items():
                     v = coef.get(m, 0) + p * c
                     if v:
                         coef[m] = v
                     else:
                         del coef[m]
-        return Derivation(F.table, {b: coef for b, coef in ops.items() if coef})
+        return Derivation(F.table, {b: coef for b, coef in ops.items() if coef}, F.den)
 
     return F._cached("ad", build)
 
@@ -487,6 +550,3 @@ def derivation_sources(op: Derivation, key: int) -> set:
                 out.add(q + unit)
     return out
 
-
-def mul(F: GPoly, G: GPoly) -> GPoly:
-    return F * G

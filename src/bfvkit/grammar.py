@@ -18,17 +18,19 @@ repeated odd factors (which normalize to zero).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError, UnknownGenerator
-from .gpoly import GPoly, normalize
+from .gpoly import GPoly, _normalize
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<rat>-?\d+(?:/\d+)?)|(?P<name>[A-Za-z]\d+)"
                        r"|(?P<op>[*^+-]))")
 
 
 def serialize(poly: GPoly) -> str:
-    if not poly.terms:
+    """Each coefficient v / den printed reduced by one gcd, as
+    ``str(Fraction(v, den))`` prints it."""
+    if not poly.num:
         return "0"
 
     def expanded(item):
@@ -36,15 +38,18 @@ def serialize(poly: GPoly) -> str:
         return tuple(g for g, e in evens for _ in range(e)) + odds
 
     pieces = []
-    unpack = poly.table.codec.unpack
-    for (evens, odds), coeff in sorted(((unpack(m), c) for m, c in poly.terms.items()),
-                                       key=expanded):
+    unpack, den = poly.table.codec.unpack, poly.den
+    for (evens, odds), v in sorted(((unpack(m), v) for m, v in poly.num.items()),
+                                   key=expanded):
         factors = [poly.table.gen(g).name if e == 1
                    else f"{poly.table.gen(g).name}^{e}" for g, e in evens]
         factors.extend(poly.table.gen(g).name for g in odds)
-        mag = abs(coeff)
+        mag = abs(v)
+        if den != 1:
+            g = gcd(mag, den)
+            mag = mag // g if g == den else f"{mag // g}/{den // g}"
         body = str(mag) if not factors else f"{mag} * " + " ".join(factors)
-        pieces.append(("-" if coeff < 0 else "+", body))
+        pieces.append(("-" if v < 0 else "+", body))
     sign, body = pieces[0]
     text = ("-" if sign == "-" else "") + body
     for sign, body in pieces[1:]:
@@ -93,7 +98,10 @@ def parse(table, text: str) -> GPoly:
             raise ParseError("dangling sign at end of expression")
         kind, val, pos = toks[i]
         if kind == "rat":
-            coeff = Fraction(val) * sign
+            p, _, q = val.partition("/")
+            p, q = int(p) * sign, int(q or 1)
+            if not q:
+                raise ParseError("zero denominator", pos)
             i += 1
             if i < n and toks[i][0] == "op" and toks[i][1] == "*":
                 i += 1
@@ -102,7 +110,7 @@ def parse(table, text: str) -> GPoly:
                                      toks[i][2] if i < n else None)
         elif kind == "name":
             # tolerated shorthand: bare factors mean coefficient 1
-            coeff = Fraction(sign)
+            p, q = sign, 1
         else:
             raise ParseError(f"unexpected token {val!r}", pos)
         factors = []
@@ -128,5 +136,5 @@ def parse(table, text: str) -> GPoly:
             # and an exponent past the codec's cap overflows, so no more
             # than CAP + 1 copies are needed
             factors.extend([gen.gid] * min(exp, table.codec.CAP + 1))
-        raw.append((coeff, factors))
-    return normalize(table, raw)
+        raw.append((p, q, factors))
+    return _normalize(table, raw)

@@ -64,7 +64,7 @@ from .linalg import EchelonSolver, connected_blocks, kernel, rank
 def restrict_check(F: GPoly) -> GPoly:
     """Verify F lies in the Lagrangian alphabet; identity on values."""
     codec = F.table.codec
-    for m in F.terms:
+    for m in F.num:
         if m & codec.outside:
             evens, odds = codec.unpack(m & codec.outside)
             raise NotInLagrangian(F.table.gen(evens[0][0] if evens else odds[0]).name)
@@ -103,9 +103,10 @@ class BracketTower:
                 split.append([a])
             else:
                 by_deg = {}
-                for m, c in a.terms.items():
+                for m, c in a.num.items():
                     by_deg.setdefault(a.mono_degree(m), {})[m] = c
-                split.append([GPoly(self.table, t) for _, t in sorted(by_deg.items())])
+                split.append([GPoly._make(self.table, t, a.den)
+                              for _, t in sorted(by_deg.items())])
         return split
 
     def ell(self, k: int, args) -> GPoly:
@@ -219,12 +220,6 @@ def _k_factors(table, total_ghost: int, max_base_degree: int):
             [sum(unit[g] for g in odd) for odd in odds])
 
 
-def _k_monomials(table, total_ghost: int, max_base_degree: int) -> list:
-    """The monomials of K of :func:`_k_factors`, in tuple order."""
-    bases, odds = _k_factors(table, total_ghost, max_base_degree)
-    return [b + o for b in bases for o in odds]
-
-
 class ProbeReport:
     """Outcome of a bounded-degree H^0 probe."""
 
@@ -275,7 +270,7 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
             i = label.get(k)
             if i is None:
                 if k & outside:
-                    _checked(GPoly(table, {k: 1}))
+                    _checked(GPoly._make(table, {k: 1}))
                 i = label[k] = ~len(first)
                 first.append(j)
                 held.append(1)
@@ -315,9 +310,9 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
             if resid and img.add_column(rep.dim_h0, resid):
                 poly = GPoly(table, {dom0[k]: c for k, c in resid.items()})
                 rep.representatives.append(poly)
-                rep.projections.append(GPoly(
-                    table, {m: c for m, c in poly.terms.items()
-                            if poly.mono_ghost(m) == (0, 0)}))
+                rep.projections.append(GPoly._make(
+                    table, {m: c for m, c in poly.num.items()
+                            if poly.mono_ghost(m) == (0, 0)}, poly.den))
 
     # l_2 table on representatives, expressed modulo the image: img holds
     # the representatives, independent modulo the image, so their
@@ -326,8 +321,8 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
     reps = rep.representatives
     for i, row in enumerate(tower.ell2_table(reps, reps)):
         for j, val in enumerate(row):
-            keys = [label.get(m, -1) for m in val.terms]
-            sol = img.solve(dict(zip(keys, val.terms.values()))) \
+            keys = [label.get(m, -1) for m in val.num]
+            sol = img.solve(dict(zip(keys, val.num.values())), val.den) \
                 if min(keys, default=0) >= 0 else None
             if sol is None:
                 rep.closure_ok = False

@@ -22,7 +22,8 @@ that elimination over Fractions would produce, with the same support at
 every step.  A kernel vector stays integer: a primitive pair ``(combo,
 scale)`` with ``combo / scale`` the combination that has coefficient 1 on
 the dependent column, reduced as ``residual(combo, scale)``.  Division back
-to Fractions happens only in ``solve`` and ``residual``.
+to Fractions happens only in ``solve`` and ``residual``; ``solve_pair``
+returns the integer solution with its scale.
 """
 
 from __future__ import annotations
@@ -125,14 +126,24 @@ class EchelonSolver:
         scale = self._reduce(vec, {}, scale * denominator)
         return {k: Fraction(v, scale) for k, v in vec.items()}
 
-    def solve(self, target: dict):
-        """Coefficients over tags with sum(coef * column) = target, or None."""
+    def solve_pair(self, target: dict):
+        """(combo, scale) with sum(combo[t] * column t) = scale * target, on
+        integers, or None."""
         vec, scale = _to_integers(target)
         combo = {}
         scale = self._reduce(vec, combo, scale)
         if vec:
             return None
-        return {t: Fraction(-c, scale) for t, c in combo.items()}
+        return {t: -c for t, c in combo.items()}, scale
+
+    def solve(self, target: dict, denominator: int = 1):
+        """Coefficients over tags with sum(coef * column) = target /
+        denominator, or None."""
+        pair = self.solve_pair(target)
+        if pair is None:
+            return None
+        combo, scale = pair
+        return {t: Fraction(c, scale * denominator) for t, c in combo.items()}
 
 
 def _sparse_echelon(columns: dict, track: bool) -> EchelonSolver:

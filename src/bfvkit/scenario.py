@@ -235,15 +235,15 @@ def ideal_membership(S: Scenario, target: GPoly, bound: int | None = None,
     bound = S.degree_bound if bound is None else bound
     delta_v = constraint_delta_v(S) if delta_v is None else delta_v
     table = S.table
-    sol, _cols, _rank = _reached_solve(
+    P, _cols, _rank = _reached_solve(
         delta_v, target, [(d - 1, 0, 1) for d in target.degree_support()],
         [bound])
-    if sol is None:
+    if P is None:
         return None
     ags = table.ids_of_kind(Kind.ANTIGHOST_G) + table.ids_of_kind(Kind.ANTIGHOST_H)
-    dP = GPoly(table, {m: c for m, c in sol.items() if c}).partials("right", ags)
-    cof = [GPoly(table, {m: -c if dP[a].mono_degree(m) % 2 else c
-                         for m, c in dP[a].terms.items()}) for a in ags]
+    dP = P.partials("right")
+    cof = [GPoly._make(table, {m: -c if P.mono_degree(m) % 2 else c
+                               for m, c in dP.get(a, {}).items()}, P.den) for a in ags]
     rebuilt = GPoly.zero(table)
     for h, g in zip(cof, assemble_constraints(S).generators):
         rebuilt = rebuilt + h * g
@@ -316,32 +316,28 @@ def check_compatibility(S: Scenario, bound: int | None = None) -> ValidationRepo
 
 
 def _integer_matrix(table, rows, order):
-    """The matrix of term dicts ``rows`` truncated at base degree ``order``,
-    as a series (codec, entries, d) over the lcm d of its denominators."""
+    """The matrix of GPolys ``rows`` truncated at base degree ``order``, as
+    a series (codec, entries, d) over the lcm d of their denominators."""
     codec = table.codec
-    d = lcm(*(c.denominator for row in rows for terms in row for c in terms.values()))
+    d = lcm(*(P.den for row in rows for P in row))
     entries = []
     for row in rows:
         out = []
-        for terms in row:
-            parts = {}
-            for m, c in terms.items():
+        for P in row:
+            parts, s = {}, d // P.den
+            for m, c in P.num.items():
                 g = codec.base_degree(m)
-                if c and g <= order:
-                    parts.setdefault(g, {})[m] = c.numerator * (d // c.denominator)
+                if g <= order:
+                    parts.setdefault(g, {})[m] = c * s
             out.append(parts)
         entries.append(out)
     return codec, entries, d
 
 
 def _log_argument(S: Scenario, order):
-    """N = Phi - I as a series truncated at base degree ``order``, Phi
-    read as its leading square block."""
-    dim = len(S.phi)
-    rows = [[dict(S.phi[i][j].terms) for j in range(dim)] for i in range(dim)]
-    for i, row in enumerate(rows):
-        row[i][0] = row[i].get(0, 0) - 1
-    return _integer_matrix(S.table, rows, order)
+    """N = Phi - I as a series truncated at base degree ``order``."""
+    return _integer_matrix(S.table, [[P - 1 if i == j else P for j, P in enumerate(row)]
+                                     for i, row in enumerate(S.phi)], order)
 
 
 def mat_mul(A, B, order):
@@ -482,9 +478,8 @@ def group_log_constraints(S: Scenario) -> list:
                 raise NotNearIdentity(
                     f"phi[{i}][{j}] differs from identity at the origin")
     _, entries, d = _log(_powers(N, order))
-    fks = _pair_with_basis(S, [[GPoly(table, {m: Fraction(c, d)
-                                              for part in e.values()
-                                              for m, c in part.items()})
+    fks = _pair_with_basis(S, [[GPoly._make(table, {m: c for part in e.values()
+                                                    for m, c in part.items()}, d)
                                 for e in row] for row in entries])
 
     base_ids = table.ids_of_kind(Kind.BASE)
@@ -496,7 +491,7 @@ def group_log_constraints(S: Scenario) -> list:
             grad = {}
             for col, gid in enumerate(base_ids):
                 val = f.deriv(gid).eval_base(point)
-                if val.terms:
+                if val:
                     grad[col] = val.const_value()
             es.add_column(k, grad)
         if es.rank() != len(fks):
@@ -526,7 +521,7 @@ def bch_transport_check(S: Scenario, order: int) -> ValidationReport:
     nmat = _log(powers)
     bad = set()
     for u in S.basis_matrices:
-        um = _integer_matrix(table, [[{0: Fraction(v)} for v in row] for row in u],
+        um = _integer_matrix(table, [[GPoly.const(table, v) for v in row] for row in u],
                              order)
         # Phi u - u Phi = N u - u N, and the dual part of the log is linear
         # in B: one series for left - right

@@ -8,6 +8,7 @@ import pytest
 from bfvkit.config import parse_scenario
 from bfvkit.generators import Kind, bfv1_table
 from bfvkit.gpoly import GPoly
+from bfvkit.homotopy import _k_factors
 from bfvkit.presets import PRESET_NAMES, load_preset
 
 
@@ -118,6 +119,13 @@ def brute_force_monomials(table, fdeg, ghost, antighost, max_base_degree):
                 evens += [(g.gid, e) for g, e in zip(even, exps) if e]
                 out.append((tuple(sorted(evens)), tuple(sorted(odds))))
     return tuple(table.codec.pack(m) for m in sorted(out))
+
+
+def k_monomials(table, total_ghost, max_base_degree):
+    """The monomials of K that the H^0 probe lists, flat and in tuple
+    order: each even base part times each odd part, base major."""
+    bases, odds = _k_factors(table, total_ghost, max_base_degree)
+    return [b + o for b in bases for o in odds]
 
 
 @pytest.fixture

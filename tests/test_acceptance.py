@@ -27,10 +27,10 @@ from bfvkit.errors import NotFound
 from bfvkit.generators import Kind, bfv0_table, bfv1_table
 from bfvkit.gpoly import GPoly, bracket
 from bfvkit.grammar import parse
-from bfvkit.homotopy import (BracketTower, _k_monomials, class_equals, h0_probe,
+from bfvkit.homotopy import (BracketTower, class_equals, h0_probe,
                              homotopy_jacobi_residual)
 from bfvkit.liedata import preset_lie, validate_bialgebra
-from conftest import brute_force_monomials, random_homogeneous
+from conftest import brute_force_monomials, k_monomials, random_homogeneous
 
 
 def report(num, title, ok, extra=""):
@@ -224,7 +224,7 @@ def test_criterion_7_homotopy_jacobi(so3, so3_setup, quasi_chi):
         args = []
         for _ in range(3):
             tg = rng.choice((-1, 0, 1))
-            monos = _k_monomials(so3.table, tg, 1)
+            monos = k_monomials(so3.table, tg, 1)
             pick = rng.sample(monos, min(2, len(monos)))
             p = GPoly(so3.table, {m: Fraction(rng.randint(-2, 2)) for m in pick})
             p = GPoly(so3.table, {m: c for m, c in p.terms.items() if c})

@@ -143,6 +143,31 @@ def test_exponent_past_the_cap_is_a_schema_error(tmp_path, capsys):
     assert main(["charge", "--scenario", str(path)]) == 0
 
 
+def test_zero_denominator_is_a_schema_error(tmp_path, capsys):
+    doc = load_preset("so3-classical")
+    doc["pi"] = "1/0 * x1 e2"
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'pi'" in err and "zero denominator" in err
+
+
+@pytest.mark.parametrize("kind", ["truncated file", "inline", "directory"])
+def test_unreadable_document_is_a_usage_error(tmp_path, capsys, kind):
+    if kind == "truncated file":
+        path = tmp_path / "cut.json"
+        path.write_text('{"kind": ')
+        scenario = str(path)
+    elif kind == "inline":
+        scenario = "{"
+    else:
+        scenario = str(tmp_path)
+    assert main(["validate", "--scenario", scenario]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def _so3_out_of_range(where):
     """so3-classical with one structure constant indexing past dim_g = 3:
     in ``c``, or in the adjoint ``d`` written out."""

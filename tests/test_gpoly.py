@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from bfvkit.errors import (BfvError, ExponentOverflow, TableMismatch,
                            UnknownGenerator)
-from bfvkit.generators import bfv0_table, bfv1_table
+from bfvkit.generators import Kind, bfv0_table, bfv1_table
 from bfvkit.gpoly import (Derivation, GPoly, bracket, derivation_sources,
-                          inner_derivation, mul, normalize)
+                          inner_derivation, normalize)
 from bfvkit.grammar import parse, serialize
 from conftest import random_homogeneous
 
@@ -131,7 +132,7 @@ def test_mul_graded_commutative_and_associative(small_table, rng):
 def test_mul_table_mismatch():
     t1, t2 = bfv1_table(1, 0, 0), bfv1_table(2, 0, 0)
     with pytest.raises(TableMismatch):
-        mul(V(t1, "x1"), V(t2, "x1"))
+        V(t1, "x1") * V(t2, "x1")
 
 
 # -- bracket -----------------------------------------------------------
@@ -578,11 +579,14 @@ def test_apply_derivation_matches_tuple_loop(data):
         F, = data.draw(homogeneous_polys(t, 1))
         op = inner_derivation(F)
     else:
-        op = Derivation(t, {b: packed(t, coef).terms for b, coef in data.draw(
+        # integer coefficients over a common denominator
+        op = Derivation(t, {b: dict(packed(t, coef).num) for b, coef in data.draw(
             st.dictionaries(st.sampled_from([g.gid for g in t.entries]),
-                            rational_terms(t, 3), max_size=4)).items()})
+                            rational_terms(t, 3), max_size=4)).items()},
+            data.draw(st.integers(1, 12)))
     terms = data.draw(rational_terms(t, 6))
-    tuple_op = {b: tup(GPoly(t, coef)) for b, coef in op.terms.items()}
+    tuple_op = {b: tup(GPoly._make(t, dict(coef), op.denominator))
+                for b, coef in op.nums.items()}
     got = op(packed(t, terms))
     assert tup(got) == ref_apply_derivation(tuple_op, terms)
     assert all(type(c) is Fraction and c for c in got.terms.values())
@@ -623,3 +627,123 @@ def test_product_overflow_sets_the_guard_bit():
     with pytest.raises(ExponentOverflow, match="x2"):
         big * parse(t, "2 * x2 e1")
     assert big.deriv(gid(t, "x2")) == 127 * parse(t, "1 * x1^100 x2^126")
+
+
+# -- integer numerators over one denominator ----------------------------
+
+
+def canonical(P):
+    """P as ``num / den`` in lowest terms: nonzero int numerators and a
+    positive denominator sharing no factor with all of them."""
+    assert type(P.den) is int and P.den > 0
+    assert all(type(v) is int and v for v in P.num.values())
+    assert gcd(P.den, *P.num.values()) == 1
+    return P
+
+
+def test_constructor_copies_its_terms(small_table):
+    t = small_table
+    x1 = t.codec.unit[gid(t, "x1")]
+    terms = {0: 5, x1: Fraction(4, 6)}
+    P = GPoly(t, terms)
+    h = hash(P)
+    terms[x1] = Fraction(7)
+    terms[t.codec.unit[gid(t, "e1")]] = 1
+    del terms[0]
+    assert P == parse(t, "5 + 2/3 * x1") and hash(P) == h
+    assert (P.num, P.den) == ({0: 15, x1: 2}, 3)
+    assert hash(P) == hash(parse(t, "2/3 * x1 + 5"))
+    with pytest.raises(TypeError):
+        P.terms[x1] = 1
+
+
+def _ref_combine(*pairs):
+    """sum of c * terms over the (rational c, tuple-keyed terms) pairs."""
+    out = {}
+    for c, terms in pairs:
+        for m, v in terms.items():
+            w = out.get(m, 0) + c * v
+            if w:
+                out[m] = w
+            else:
+                out.pop(m, None)
+    return out
+
+
+@pytest.fixture(scope="module")
+def rescaled_values():
+    """Per preset: the table, the charge's inner derivation and the values
+    after a cotangent rescaling, so that the charge, the lift and the
+    document polynomials have non-unit denominators."""
+    from test_homotopy import rescaled_preset, tower_for
+
+    out = []
+    for name in ("so3-classical", "dgla-identity"):
+        S = rescaled_preset(name)
+        tower = tower_for(S)
+        values = [tower.series.Q, *tower.series.terms, S.pi, *S.psi, *S.J0]
+        assert tower.ad_q.denominator > 1 and any(P.den > 1 for P in values)
+        out.append((S.table, tower.ad_q, values))
+    return out
+
+
+@st.composite
+def rescaled_operands(draw, presets):
+    """(table, ad_Q, Q, two values): each value a rational multiple of a
+    value of a rescaled preset plus rational multiples of monomials of
+    their supports."""
+    table, ad_q, values = draw(st.sampled_from(presets))
+    keys = sorted({m for P in values for m in P.num})
+    scalars = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    out = []
+    for _ in range(2):
+        P = draw(scalars) * draw(st.sampled_from(values))
+        for m in draw(st.lists(st.sampled_from(keys), max_size=4)):
+            P = P + GPoly(table, {m: draw(scalars)})
+        out.append(P)
+    return table, ad_q, values[0], out[0], out[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_integer_form_matches_fraction_reference(rescaled_values, data):
+    t, ad_q, Q, F, G = data.draw(rescaled_operands(rescaled_values))
+    c = data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=10))
+    f, g = tup(canonical(F)), tup(canonical(G))
+    cases = [
+        (F + G, _ref_combine((1, f), (1, g))),
+        (F - G, _ref_combine((1, f), (-1, g))),
+        (-F, _ref_combine((-1, f))),
+        (F * c, _ref_combine((c, f))),
+        (c * G, _ref_combine((c, g))),
+        (F * G, _ref_mul(f, g)),
+        (bracket(F, G), tup(reference_bracket(F, G))),
+        (inner_derivation(F)(G), tup(reference_bracket(F, G))),
+        (ad_q(G), tup(reference_bracket(Q, G))),
+    ]
+    for got, want in cases:
+        assert tup(canonical(got)) == want
+        # the same value built from its Fractions: equal, and equal hashes
+        again = packed(t, want)
+        assert got == again and hash(got) == hash(again)
+    for side in ("left", "right"):
+        gids = [z.gid for z in t.entries]
+        parts = F.partials(side)
+        for z in gids:
+            want = _ref_deriv(t, f, z, side)
+            assert {t.codec.unpack(m): Fraction(v, F.den)
+                    for m, v in parts.get(z, {}).items()} == want
+            assert tup(canonical(F.deriv(z, side))) == want
+    assert (F + G) - G == F and hash((F + G) - G) == hash(F)
+    # substituting rationals for some base coordinates
+    base = [z.gid for z in t.entries if z.kind == Kind.BASE]
+    point = dict(zip(base[::2], data.draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        min_size=len(base[::2]), max_size=len(base[::2])))))
+    want = {}
+    for (evens, odds), v in f.items():
+        for g, e in evens:
+            v *= point.get(g, 1) ** e
+        want = _ref_combine((1, want), (v, {(tuple((g, e) for g, e in evens
+                                                   if g not in point), odds): 1}))
+    assert tup(canonical(F.eval_base(point))) == want

@@ -72,6 +72,17 @@ def test_zero_prints_as_zero_and_parses(table):
     assert not parse(table, "0")
 
 
+def test_parsed_rationals_print_reduced(table):
+    assert serialize(parse(table, "4/6 * x1 + 0/5 * x2 - 0 * e1 + 3/9")) \
+        == "1/3 + 2/3 * x1"
+    P = parse(table, "-4/6 * x1 + 10/4 * e2 - 0/7")
+    assert (P.den, serialize(P)) == (6, "-2/3 * x1 + 5/2 * e2")
+    assert serialize(parse(table, "2/4 * x1 + 1/2 * x1")) == "1 * x1"
+    assert serialize(parse(table, "-0 * e1 + 1 * x1 - 0/3 * x2")) == "1 * x1"
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse(table, "1/0 * x1")
+
+
 def test_round_trip_bfv0_and_large_rationals(rng):
     from fractions import Fraction
 

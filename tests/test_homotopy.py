@@ -17,14 +17,13 @@ from bfvkit.errors import InternalSignError, NotInLagrangian, TruncationWarning
 from bfvkit.generators import Kind, bfv1_table
 from bfvkit.gpoly import GPoly, bracket, inner_derivation
 from bfvkit.grammar import parse, serialize
-from bfvkit.homotopy import (BracketTower, ProbeReport, _k_monomials,
-                             class_equals, h0_probe, homotopy_jacobi_residual,
-                             restrict_check)
+from bfvkit.homotopy import (BracketTower, ProbeReport, class_equals, h0_probe,
+                             homotopy_jacobi_residual, restrict_check)
 from bfvkit.linalg import EchelonSolver
 from bfvkit.liedata import preset_lie
 from bfvkit.presets import PRESET_NAMES, load_preset
 from bfvkit.scenario import Scenario
-from conftest import brute_force_monomials
+from conftest import brute_force_monomials, k_monomials
 from test_linalg import FractionEchelonSolver
 
 
@@ -58,7 +57,7 @@ def rand_lagrangian(table, rng, max_base=2):
     """Random homogeneous element of the Lagrangian algebra."""
     for _ in range(50):
         tg = rng.choice((-2, -1, 0, 1, 2))
-        monos = _k_monomials(table, tg, max_base)
+        monos = k_monomials(table, tg, max_base)
         if not monos:
             continue
         pick = rng.sample(monos, min(3, len(monos)))
@@ -437,7 +436,7 @@ def test_kernel_is_bracket_on_probe_spaces(request, preset, degree):
     ad = inner_derivation(Q)
     checked = 0
     for total_ghost in (0, -1):
-        for m in _k_monomials(S.table, total_ghost, degree):
+        for m in k_monomials(S.table, total_ghost, degree):
             got = ad(GPoly(S.table, {m: Fraction(1)}))
             assert got == bracket(Q, GPoly(S.table, {m: Fraction(1)})), m
             checked += 1
@@ -459,20 +458,20 @@ def test_k_monomials_match_brute_force():
             for bound in range(5):
                 want = [codec.pack(f) for f in forms
                         if sum(e for _x, e in f[0]) <= bound]
-                assert _k_monomials(table, t, bound) == want, (name, t, bound)
+                assert k_monomials(table, t, bound) == want, (name, t, bound)
 
 
 def test_k_monomials_so3_degree_6_sizes(so3_classical):
     # the spaces of the degree-6 so3-classical probe: C(12, 6) base
     # monomials in six coordinates times the sets of c's and B's of three
     # each with #c = #B (20 of them) or #B = #c + 1 (15)
-    assert len(_k_monomials(so3_classical.table, 0, 6)) == 924 * 20 == 18480
-    assert len(_k_monomials(so3_classical.table, -1, 6)) == 924 * 15 == 13860
+    assert len(k_monomials(so3_classical.table, 0, 6)) == 924 * 20 == 18480
+    assert len(k_monomials(so3_classical.table, -1, 6)) == 924 * 15 == 13860
 
 
 def _lagrangian_polys(table):
     monos = [m for tg in (-2, -1, 0, 1, 2)
-             for m in _k_monomials(table, tg, 2)]
+             for m in k_monomials(table, tg, 2)]
     coefs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
     return st.dictionaries(st.sampled_from(monos), coefs, max_size=6).map(
         lambda terms: GPoly(table, {m: c for m, c in terms.items() if c}))
@@ -497,7 +496,7 @@ def full_class_equals(tower, degree_bound, value, expected):
         return True
     bound = max(degree_bound, diff.max_base_degree())
     es = EchelonSolver()
-    for m in _k_monomials(tower.table, -1, bound):
+    for m in k_monomials(tower.table, -1, bound):
         img = tower.l1_image(GPoly(tower.table, {m: 1}))
         if img:
             es.add_column(m, img.terms)
@@ -516,7 +515,7 @@ def test_class_equals_matches_full_enumeration(so3_classical, so3_tower,
     coefs = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
 
     def element(total_ghost):
-        monos = _k_monomials(S.table, total_ghost, bound)
+        monos = k_monomials(S.table, total_ghost, bound)
         return GPoly(S.table, data.draw(st.dictionaries(
             st.sampled_from(monos), coefs, min_size=1, max_size=3)))
 
@@ -544,8 +543,8 @@ def _reference_h0_probe(tower, degree_bound):
         return {unpack(k): c for k, c in P.terms.items()}
 
     rep = ProbeReport(degree_bound)
-    dom0 = _k_monomials(table, 0, degree_bound)
-    domm = _k_monomials(table, -1, degree_bound)
+    dom0 = k_monomials(table, 0, degree_bound)
+    domm = k_monomials(table, -1, degree_bound)
     rep.dim_space = len(dom0)
 
     def image(m):
@@ -724,7 +723,7 @@ def test_leibniz_columns_match_apply(request, tower_name, total_ghost):
         assert tower.ad_q.denominator > 1
     bases, odds = homotopy._k_factors(tower.table, total_ghost, 3)
     want = [tower.ad_q.apply({m: 1})
-            for m in _k_monomials(tower.table, total_ghost, 3)]
+            for m in k_monomials(tower.table, total_ghost, 3)]
     assert list(tower.ad_q.columns(bases, odds)) == want
     # with no antighost, K has no ghost -1 monomials
     assert any(want) or not (want or tower.table.ids_of_kind(Kind.ANTIGHOST_H))
@@ -772,7 +771,7 @@ def test_probe_sparse_pivot_kernels_match_min_key(request, monkeypatch, preset,
     # every ghost 0 column is ranked once, in its block, but for the private
     # ones: those holding a ghost +1 key that no other ghost 0 column holds.
     # Kernel vectors are built only in the blocks that hold a class
-    images = [tower.ad_q.apply({m: 1}) for m in _k_monomials(S.table, 0, degree)]
+    images = [tower.ad_q.apply({m: 1}) for m in k_monomials(S.table, 0, degree)]
     holders = Counter(k for image in images for k in image)
     private = sum(any(holders[k] == 1 for k in image) for image in images)
     ranked = [cols for name, _es, cols in calls if name == "rank"]
@@ -815,7 +814,7 @@ def test_probe_on_a_hand_made_l1(so3_classical):
     # e0 + e1 + e2, e3 + X and e4 + X, with e_i = dom0[i] and X = x1^2 just
     # beyond the bound; X is the first key outside dom0, labelled -1
     t = so3_classical.table
-    dom0, domm = _k_monomials(t, 0, 1), _k_monomials(t, -1, 1)
+    dom0, domm = k_monomials(t, 0, 1), k_monomials(t, -1, 1)
     e = dict(enumerate(dom0))
     (X,) = parse(t, "1 * x1^2").terms
     images = {domm[0]: {e[0]: 1, e[1]: 1, e[2]: 1},
@@ -836,7 +835,7 @@ def test_probe_private_ghost_minus_one_column_leaves_the_image(so3_classical):
     # bound and held by no other column, and another to 2 e0 + e1: no
     # combination inside the span uses the first, so its e0 is no image
     t = so3_classical.table
-    dom0, domm = _k_monomials(t, 0, 1), _k_monomials(t, -1, 1)
+    dom0, domm = k_monomials(t, 0, 1), k_monomials(t, -1, 1)
     e = dict(enumerate(dom0))
     (X,) = parse(t, "1 * x1^2").terms
     images = {domm[0]: {e[0]: 1, X: 1}, domm[1]: {e[0]: 2, e[1]: 1}}
@@ -852,7 +851,7 @@ def test_probe_private_ghost_zero_column_leaves_the_rank(so3_classical):
     # l_1 sends e0 to c1 and e1 to c1 + c2: c2 is private to e1's column,
     # so the block's kernel is that of e0's column alone, which is zero
     t = so3_classical.table
-    dom0 = _k_monomials(t, 0, 1)
+    dom0 = k_monomials(t, 0, 1)
     (c1,), (c2,) = parse(t, "1 * c1").terms, parse(t, "1 * c2").terms
     images = {dom0[0]: {c1: 1}, dom0[1]: {c1: 1, c2: 1}}
     rep = h0_probe(so3_classical, hand_made_tower(t, images), 1)
@@ -865,7 +864,7 @@ def test_probe_rejects_l1_that_does_not_square_to_zero(so3_classical):
     # l_1 sends a ghost -1 monomial to e0 and e0 to c1, so l_1^2 is not
     # zero: the block of e0 has an image of rank 1 and no kernel
     t = so3_classical.table
-    dom0, domm = _k_monomials(t, 0, 1), _k_monomials(t, -1, 1)
+    dom0, domm = k_monomials(t, 0, 1), k_monomials(t, -1, 1)
     (c1,) = parse(t, "1 * c1").terms
     tower = hand_made_tower(t, {domm[0]: {dom0[0]: 1}, dom0[0]: {c1: 1}})
     with pytest.raises(InternalSignError, match="image rank 1 > kernel dim 0$"):

@@ -104,15 +104,15 @@ def test_membership_verifies_cofactors(so3_classical, monkeypatch):
     # a solution that drops a coefficient no longer rebuilds the target
     import bfvkit.scenario as scenario
 
-    real = scenario.EchelonSolver.solve
+    real = scenario.EchelonSolver.solve_pair
 
     def lossy(self, target):
         sol = real(self, target)
-        if sol:
-            sol.pop(next(iter(sol)))
+        if sol and sol[0]:
+            sol[0].pop(next(iter(sol[0])))
         return sol
 
-    monkeypatch.setattr(scenario.EchelonSolver, "solve", lossy)
+    monkeypatch.setattr(scenario.EchelonSolver, "solve_pair", lossy)
     with pytest.raises(BfvError, match="failed verification"):
         ideal_membership(so3_classical,
                          bracket(so3_classical.pi, so3_classical.J0[0]), 0)

@@ -325,8 +325,7 @@ def matrix_pairs(draw):
 
 
 def to_series(A, order):
-    return _integer_matrix(A[0][0].table, [[a.terms for a in row] for row in A],
-                           order)
+    return _integer_matrix(A[0][0].table, A, order)
 
 
 def from_series(table, M):
