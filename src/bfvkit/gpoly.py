@@ -475,14 +475,25 @@ class Derivation:
     def columns(self, bases, odds):
         """apply({b + o: 1}) for b in the even ``bases`` and o in ``odds``,
         b major: by Leibniz, with no sign as b is even, X_b o + Y_o b for
-        X_b = apply({b: 1}) and Y_o = apply({o: 1}), each prepared once."""
+        X_b = apply({b: 1}) and Y_o = apply({o: 1}), each computed once.
+        The terms of X_b o have distinct keys and cannot overflow, as o is
+        odd; a term of Y_o b takes no sign, as b has no odd bit."""
         codec = self.table.codec
-        ys = [(_prepared(codec, self.apply({o: 1})), o) for o in odds]
+        guard = codec.guard
+        ys = [(self.apply({o: 1}).items(), o) for o in odds]
         for b in bases:
             x = _prepared(codec, self.apply({b: 1}))
             for y, o in ys:
-                out = {}
-                _mul_terms(codec, out, [(x, o, 1), (y, b, 1)])
+                out = {k + o: -c if (o & sm).bit_count() & 1 else c
+                       for k, odd, sm, c in x if not o & odd}
+                for k, c in y:
+                    k += b
+                    if k & guard:
+                        raise codec.overflow(k)
+                    if v := out.get(k, 0) + c:
+                        out[k] = v
+                    else:
+                        del out[k]
                 yield out
 
     def __call__(self, F: GPoly) -> GPoly:

@@ -38,13 +38,21 @@ column to its block and counts the holders of each negative label.  A
 column holding a negative label that no other column holds is private,
 and no elimination sees it: a private ghost -1 column has coefficient 0 in
 every image combination inside the bound, and a private ghost 0 column is
-independent of its block.  The probe is one loop over the blocks, which
-have disjoint keys.  The min-key solver ``img`` takes each block's ghost
--1 columns untracked and eliminates negative keys first: the block's image
-rank r_B is its number of pivots >= 0.  The kernel dimension k_B is a
-:func:`~bfvkit.linalg.rank`; r_B > k_B means l_1^2 != 0.  Only where
-k_B > r_B does a :func:`~bfvkit.linalg.kernel` give kernel vectors, which
-``img`` reduces, holding the independent residuals as representatives.
+independent of its block.  l_1 is a derivation of K, so l_1^2 is one too:
+the probe checks that it vanishes on each generator of K, and so on K,
+and raises InternalSignError naming a generator where it does not.  The
+probe is one loop over the blocks, which have disjoint keys.  The min-key
+solver ``img`` takes each block's ghost -1 columns untracked and
+eliminates negative keys first: its rows v_p with a pivot p >= 0 span the
+block's bounded image I, and the image rank r_B is their count.  v_p has
+p as its least key, so each e_p lies in I + span(e_i : i not a pivot),
+and l_1 kills I: l_1 has the rank of the columns off the pivots.  So the
+kernel dimension k_B is r_B + |R| - rank(R), R the block's ghost 0 columns
+neither private nor a pivot (l_1 v_p = 0 puts column p in the span of
+others, so no pivot is private), a :func:`~bfvkit.linalg.rank`, which
+peels singletons first.  Only where k_B > r_B does a
+:func:`~bfvkit.linalg.kernel` give kernel vectors, which ``img`` reduces,
+holding the independent residuals as representatives.
 Index order is monomial order, so its pivots, and so the printed
 representatives, are the monomial order's.
 """
@@ -58,7 +66,7 @@ from .engine import _reached_solve
 from .errors import InternalSignError, NotInLagrangian, TruncationWarning
 from .generators import Kind
 from .gpoly import GPoly, bracket, inner_derivation
-from .linalg import EchelonSolver, connected_blocks, kernel, rank
+from .linalg import EchelonSolver, kernel, rank
 
 
 def restrict_check(F: GPoly) -> GPoly:
@@ -257,15 +265,16 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
     rep.dim_space = n0 = len(dom0)
 
     # columns: the ghost 0 monomials (indices below n0), then the ghost -1
-    # monomials.  Each links to the owner of each label it holds, the first
-    # column holding it or a dom0 label's own column.  The blocks fix the
-    # order of the kernel vectors, and so which representatives print.
+    # monomials.  Each joins the block of the owner of each label it holds,
+    # the first column holding it or a dom0 label's own column.  The blocks
+    # fix the order of the kernel vectors, and so which representatives print.
     outside = table.codec.outside
     label = {m: i for i, m in enumerate(dom0)}
     first, held = [], []  # per negative label ~i: its owner, its holders
-    cols, links = [], []
+    cols, parent = [], []  # a union-find, each root its block's least column
     for j, image in enumerate(chain(*(tower.ad_q.columns(*f) for f in spaces))):
-        col, link = {}, []
+        col, r = {}, j
+        parent.append(j)
         for k, v in image.items():
             i = label.get(k)
             if i is None:
@@ -274,31 +283,48 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
                 i = label[k] = ~len(first)
                 first.append(j)
                 held.append(1)
-            elif i < 0:
-                link.append(first[~i])
-                held[~i] += 1
             else:
-                link.append(i)
+                if i < 0:
+                    s = first[~i]
+                    held[~i] += 1
+                else:
+                    s = i
+                while parent[s] != s:
+                    parent[s] = s = parent[parent[s]]
+                if s != r:
+                    parent[max(s, r)] = r = min(s, r)
             col[i] = v
         cols.append(col)
-        links.append(link)
+    blocks = {}
+    for j in range(len(cols)):
+        # parent[j] <= j, and each earlier column already points at its root
+        s = parent[j] = parent[parent[j]]
+        blocks.setdefault(s, []).append(j)
+
+    # l_1 is a derivation of K, and so is l_1^2: it vanishes on K if it
+    # does on the generators, which k_B below takes for granted
+    ad_q = tower.ad_q
+    for z in sorted(table.lagrangian_ids):
+        if ad_q.apply(ad_q.apply({table.codec.unit[z]: 1})):
+            raise InternalSignError(f"l_1^2 != 0 on {table.gen(z).name}")
 
     # a negative label is held by columns of one ghost only, so img and k_B
-    # leave out the private columns (see the module docstring)
+    # leave out the private columns (see the module docstring), and k_B
+    # ranks only the columns whose labels are not img's pivots
     private = {first[i] for i, n in enumerate(held) if n == 1}
     img = EchelonSolver()
-    for block in connected_blocks(links):
+    for block in blocks.values():
         g0 = {i: cols[i] for i in block if i < n0}
         for i in block[len(g0):]:  # ascending: the ghost -1 columns
             if i not in private:
                 img.add_column(None, cols[i])
-        r_b = sum(i in img.pivots for i in g0)
-        rest = {i: col for i, col in g0.items() if i not in private}
-        k_b = len(rest) - rank(rest)
+        pivots = img.pivots
+        rest = {i: col for i, col in g0.items()
+                if i not in private and i not in pivots}
+        r_b = sum(i in pivots for i in g0)
+        k_b = r_b + len(rest) - rank(rest)
         rep.dim_kernel += k_b
         rep.dim_image += r_b
-        if r_b > k_b:
-            raise InternalSignError(f"l_1^2 != 0: image rank {r_b} > kernel dim {k_b}")
         if r_b == k_b:
             continue
         # a block that holds a class: every kernel vector is reduced modulo

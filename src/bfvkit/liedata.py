@@ -34,12 +34,12 @@ from itertools import product
 from .reports import ValidationReport
 
 
-def _q(x):
-    return Fraction(x)
+# shared defaults of the accessors: a Fraction is immutable
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _table(entries):
-    return {k: _q(v) for k, v in entries.items() if _q(v)}
+    return {k: q for k, v in entries.items() if (q := Fraction(v))}
 
 
 @dataclass
@@ -51,7 +51,7 @@ class LieAlgebraData:
         self.c = _table(self.c)
 
     def C(self, i, j, k) -> Fraction:
-        return self.c.get((i, j, k), Fraction(0))
+        return self.c.get((i, j, k), _ZERO)
 
 
 @dataclass
@@ -63,7 +63,7 @@ class ModuleActionData:
         self.d = _table(self.d)
 
     def D(self, m, i, p) -> Fraction:
-        return self.d.get((m, i, p), Fraction(0))
+        return self.d.get((m, i, p), _ZERO)
 
 
 @dataclass
@@ -74,7 +74,7 @@ class DglaData:
         self.A = _table(self.A)
 
     def a(self, i, j) -> Fraction:
-        return self.A.get((i, j), Fraction(0))
+        return self.A.get((i, j), _ZERO)
 
 
 @dataclass
@@ -85,7 +85,7 @@ class BialgebraData:
         self.a = _table(self.a)
 
     def ab(self, k, i, j) -> Fraction:
-        return self.a.get((k, i, j), Fraction(0))
+        return self.a.get((k, i, j), _ZERO)
 
 
 @dataclass
@@ -96,14 +96,16 @@ class QuasiBialgebraData:
 
     def __post_init__(self):
         self.chi = _table(self.chi)
+        if self.metric is not None:
+            self.metric = _table(self.metric)
 
     def x3(self, i, j, k) -> Fraction:
-        return self.chi.get((i, j, k), Fraction(0))
+        return self.chi.get((i, j, k), _ZERO)
 
     def g(self, i, j) -> Fraction:
         if self.metric is None:
-            return Fraction(1) if i == j else Fraction(0)
-        return Fraction(self.metric.get((i, j), 0))
+            return _ONE if i == j else _ZERO
+        return self.metric.get((i, j), _ZERO)
 
 
 def _inside(idx, *dims) -> bool:
@@ -342,5 +344,5 @@ def coadjoint_module(L: LieAlgebraData) -> ModuleActionData:
     """The coadjoint action on h = g*, rho(u^m) v_i = -c^{mp}_i v_p."""
     d = {}
     for (m, p, i), v in L.c.items():
-        d[(m, i, p)] = d.get((m, i, p), Fraction(0)) - v
+        d[(m, i, p)] = d.get((m, i, p), _ZERO) - v
     return ModuleActionData(L.dim, {k: v for k, v in d.items() if v})

@@ -11,6 +11,9 @@ columns, and a solution is the unique one over the independent columns.
 pivot set, so it is canonical for the min-key pivots.  A caller that reads
 kernels or ranks alone may pivot sparsely, as :func:`kernel` and
 :func:`rank` do; one that reads residuals keeps the min-key pivots.
+:func:`rank` first peels, with no arithmetic, the columns that hold a key
+no other column holds and the columns of a single key, whose key it
+clears from the others.
 
 Elimination runs on integer rows (fraction-free, after Bareiss, Math.
 Comp. 1968).  An incoming column or target is scaled once by the common
@@ -166,8 +169,40 @@ def kernel(columns: dict) -> list:
 
 
 def rank(columns: dict) -> int:
-    """The rank of the columns ``{tag: vec}``, with no combination tracked."""
-    return _sparse_echelon(columns, False).rank()
+    """The rank of the columns ``{tag: vec}``, with no combination tracked.
+
+    A singleton presolve comes first and does no arithmetic (structured
+    elimination, after LaMacchia and Odlyzko, CRYPTO 1990): a column
+    holding a key that no other remaining column holds is independent of
+    them, and a column c e_k spans e_k, so k is cleared from every other
+    column.  Either adds 1 to the rank and drops the column; an emptied
+    column adds 0.  What is left goes to the sparse echelon."""
+    cols = {t: {k for k, v in vec.items() if v} for t, vec in columns.items()}
+    holders = {}
+    for t, keys in cols.items():
+        for k in keys:
+            holders.setdefault(k, set()).add(t)
+    found, queue = 0, list(cols)
+    while queue:
+        keys = cols.get(t := queue.pop())
+        if keys is None:
+            continue
+        if len(keys) == 1:
+            (k,) = keys
+            for u in holders.pop(k):
+                if u != t:
+                    cols[u].discard(k)
+                    queue.append(u)
+        elif keys and all(len(holders[k]) > 1 for k in keys):
+            continue
+        else:
+            for k in keys:
+                (hs := holders[k]).discard(t)
+                if len(hs) == 1:
+                    queue.extend(hs)
+        found += len(cols.pop(t)) > 0
+    return found + _sparse_echelon({t: {k: columns[t][k] for k in keys}
+                                    for t, keys in cols.items()}, False).rank()
 
 
 def connected_blocks(links) -> list:

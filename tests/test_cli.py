@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from bfvkit import cli
 from bfvkit.cli import main
+from bfvkit.engine import ChargeSeries
+from bfvkit.grammar import parse
 from bfvkit.presets import PRESET_NAMES, load_preset
 
 
@@ -217,6 +220,42 @@ def test_probe_abelian_zero_table(capsys):
     table_lines = [l for l in out.splitlines() if l.startswith("probe.ell2.")]
     assert table_lines
     assert all(l.endswith("=0") for l in table_lines)
+
+
+@pytest.mark.parametrize("degree, dims", [
+    (4, ("4200", "491", "482", "9")),
+    (5, ("9240", "1355", "1346", "9")),
+])
+def test_probe_so3_bounded_outcome(capsys, degree, dims):
+    # the probe op of the benchmark (degree 4) and the next bound: each
+    # exits 3 with 20 l_2 entries undecided at the bound
+    code, out = run_cli(capsys, "probe-h0", "--scenario", "so3-classical",
+                        "--degree", str(degree), "--format", "machine")
+    lines = dict(line.split("=", 1) for line in out.splitlines())
+    assert code == 3
+    assert tuple(lines[f"probe.dim.{k}"]
+                 for k in ("space", "kernel", "image", "h0")) == dims
+    undecided = [k for k, v in lines.items()
+                 if k.startswith("check.probe.closure.") and v == "undecided"]
+    assert len(undecided) == 20 and lines["check.probe.closure"] == "undecided"
+
+
+def test_probe_rejects_charge_whose_l1_does_not_square_to_zero(monkeypatch, capsys):
+    # c1 e1 added to the charge keeps l_1 inside K, but l_1^2 x1 != 0: an
+    # internal error, exit 1, with nothing printed as a probe result
+    real = cli._series
+
+    def perturbed(scenario, kmax, ansatz_degree):
+        series = real(scenario, kmax, ansatz_degree)
+        return ChargeSeries(Q=series.Q + parse(scenario.table, "1 * c1 e1"),
+                            terms=series.terms)
+
+    monkeypatch.setattr(cli, "_series", perturbed)
+    code = main(["probe-h0", "--scenario", "so3-classical", "--degree", "2",
+                 "--format", "machine"])
+    captured = capsys.readouterr()
+    assert code == 1 and "probe.dim" not in captured.out
+    assert captured.err == "error: InternalSignError: l_1^2 != 0 on x1\n"
 
 
 def test_bch_so3(capsys):

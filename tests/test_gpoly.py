@@ -629,6 +629,19 @@ def test_product_overflow_sets_the_guard_bit():
     assert big.deriv(gid(t, "x2")) == 127 * parse(t, "1 * x1^100 x2^126")
 
 
+def test_leibniz_column_overflow_sets_the_guard_bit():
+    # {x1 b1, .} sends c1 to a multiple of x1, so the column of x1^e c1
+    # holds Y_c1 x1^e = x1^(e+1): within the cap at e = 126, past it at 127
+    t = bfv1_table(2, 1, 1)
+    op = inner_derivation(parse(t, "1 * x1 b1"))
+    c1 = t.codec.unit[gid(t, "c1")]
+    (b,) = parse(t, "1 * x1^126").num
+    assert list(op.columns([b], [c1])) == [op.apply({b + c1: 1})] != [{}]
+    (b,) = parse(t, "1 * x1^127").num
+    with pytest.raises(ExponentOverflow, match="x1"):
+        list(op.columns([b], [c1]))
+
+
 # -- integer numerators over one denominator ----------------------------
 
 

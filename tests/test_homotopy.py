@@ -730,9 +730,10 @@ def test_leibniz_columns_match_apply(request, tower_name, total_ghost):
 
 
 def probe_eliminations(monkeypatch, S, tower, degree):
-    """(report, [(name, solver, columns)]): the solver of each
+    """(report, [(name, solver, columns, value)]): the solver of each
     ``linalg.rank`` and ``linalg.kernel`` call that h0_probe makes, with
-    the call's name and its columns, before their relabelling."""
+    the call's name, its columns, before their relabelling, and the value
+    it returned."""
     given, made = [], []
 
     class Recording(EchelonSolver):
@@ -742,21 +743,23 @@ def probe_eliminations(monkeypatch, S, tower, degree):
 
     for name in ("rank", "kernel"):
         def recording(columns, name=name, real=getattr(homotopy, name)):
-            given.append((name, list(columns.items())))
-            return real(columns)
+            given.append((name, list(columns.items()), value := real(columns)))
+            return value
         monkeypatch.setattr(homotopy, name, recording)
     monkeypatch.setattr(linalg, "EchelonSolver", Recording)
     rep = h0_probe(S, tower, degree)
     monkeypatch.undo()
-    # one solver per call, holding just that call's columns; a rank
-    # solver tracks no combination
+    # one solver per call; a rank solver tracks no combination and holds
+    # the columns its presolve leaves, a kernel solver every column
     assert len(made) == len(given)
-    for es, (name, cols) in zip(made, given):
+    for es, (name, cols, value) in zip(made, given):
         if name == "rank":
             assert es.kernel == [] and not any(c for _r, c in es.pivots.values())
+            assert es.rank() <= value
         else:
             assert es.rank() + len(es.kernel) == len(cols)
-    return rep, [(name, es, cols) for es, (name, cols) in zip(made, given)]
+    return rep, [(name, es, cols, value)
+                 for es, (name, cols, value) in zip(made, given)]
 
 
 @pytest.mark.parametrize("preset, tower_name, degree", [
@@ -769,39 +772,43 @@ def test_probe_sparse_pivot_kernels_match_min_key(request, monkeypatch, preset,
     tower = request.getfixturevalue(tower_name)
     rep, calls = probe_eliminations(monkeypatch, S, tower, degree)
     # every ghost 0 column is ranked once, in its block, but for the private
-    # ones: those holding a ghost +1 key that no other ghost 0 column holds.
-    # Kernel vectors are built only in the blocks that hold a class
+    # ones, those holding a ghost +1 key that no other ghost 0 column holds,
+    # and the image pivots, one per image dimension.  Kernel vectors are
+    # built only in the blocks that hold a class
     images = [tower.ad_q.apply({m: 1}) for m in k_monomials(S.table, 0, degree)]
     holders = Counter(k for image in images for k in image)
     private = sum(any(holders[k] == 1 for k in image) for image in images)
-    ranked = [cols for name, _es, cols in calls if name == "rank"]
-    kernels = [cols for name, _es, cols in calls if name == "kernel"]
-    assert 0 < private and sum(len(cols) for cols in ranked) + private == rep.dim_space
+    ranked = [cols for name, _es, cols, _v in calls if name == "rank"]
+    kernels = [cols for name, _es, cols, _v in calls if name == "kernel"]
+    assert 0 < private and 0 < rep.dim_image
+    assert sum(map(len, ranked)) + private + rep.dim_image == rep.dim_space
     assert 0 < len(kernels) <= rep.dim_h0 < len(ranked)
-    for name, es, cols in calls:
+    for name, _es, cols, value in calls:
         plain = EchelonSolver()
         for tag, vec in cols:
             plain.add_column(tag, vec)
-        assert es.rank() == plain.rank()
-        assert es.kernel == (plain.kernel if name == "kernel" else [])
+        assert value == (plain.rank() if name == "rank" else plain.kernel)
 
 
 def test_probe_kernel_pivots_reduce_fill(so3_classical, so3_tower, monkeypatch):
-    # min-key pivots store 19,391 row entries on these ranks and kernels,
-    # and the sparse-first pivots of linalg 11,288
+    # on these ranks and kernels, min-key pivots store 19,391 row entries
+    # and the sparse-first pivots of linalg 11,288; after the rank presolve
+    # the solvers store 1,729
     _rep, calls = probe_eliminations(monkeypatch, so3_classical, so3_tower, 3)
-    stored = sum(len(row) for _name, es, _cols in calls
+    stored = sum(len(row) for _name, es, _cols, _v in calls
                  for row, _c in es.pivots.values())
-    assert stored < 15340
+    assert stored < 3784
 
 
 def hand_made_tower(t, images):
     """A tower whose l_1 sends a monomial m to images[m], zero if absent,
-    and whose l_2 vanishes."""
+    and whose l_2 vanishes.  The generator check reads l_1 as zero."""
     class HandMade:
         table = t
-        ad_q = types.SimpleNamespace(columns=lambda bases, odds: (
-            dict(images.get(b + o, {})) for b in bases for o in odds))
+        ad_q = types.SimpleNamespace(
+            columns=lambda bases, odds: (
+                dict(images.get(b + o, {})) for b in bases for o in odds),
+            apply=lambda terms: {})
 
         def ell2_table(self, fs, gs):
             return [[GPoly.zero(t) for _g in gs] for _f in fs]
@@ -860,15 +867,17 @@ def test_probe_private_ghost_zero_column_leaves_the_rank(so3_classical):
         {m: 1} for m in dom0[2:]]
 
 
-def test_probe_rejects_l1_that_does_not_square_to_zero(so3_classical):
-    # l_1 sends a ghost -1 monomial to e0 and e0 to c1, so l_1^2 is not
-    # zero: the block of e0 has an image of rank 1 and no kernel
+def test_probe_rejects_l1_that_does_not_square_to_zero(so3_classical, so3_tower):
+    # c1 e1 adds c1 to l_1(x1) and keeps l_1 inside K, but l_1^2 of x1 is
+    # then l_1(c1) != 0.  The probe checks l_1^2 on each generator of K, in
+    # id order (x, c, B), before it counts a kernel dimension
     t = so3_classical.table
-    dom0, domm = k_monomials(t, 0, 1), k_monomials(t, -1, 1)
-    (c1,) = parse(t, "1 * c1").terms
-    tower = hand_made_tower(t, {domm[0]: {dom0[0]: 1}, dom0[0]: {c1: 1}})
-    with pytest.raises(InternalSignError, match="image rank 1 > kernel dim 0$"):
-        h0_probe(so3_classical, tower, 1)
+    for text, token in (("1 * c1 e1", "x1"), ("1 * x1 c1 e2", "x1"),
+                        ("1 * c1 c2 e3", "B1"), ("1 * c1 c2 b3", "x1")):
+        bad = BracketTower(ChargeSeries(Q=so3_tower.series.Q + parse(t, text),
+                                        terms=so3_tower.series.terms))
+        with pytest.raises(InternalSignError, match=f"l_1\\^2 != 0 on {token}$"):
+            h0_probe(so3_classical, bad, 1)
 
 
 def test_restrict_check_names_first_offender(so3_classical):

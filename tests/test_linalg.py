@@ -329,3 +329,50 @@ def test_connected_blocks_join_links_either_way(links):
             supports[i].append((i, j))
             supports[j].append((i, j))
     assert connected_blocks(links) == search_blocks(supports)
+
+
+@st.composite
+def singleton_systems(draw):
+    """Columns rich in what the rank presolve peels: unit columns, chains
+    in which each column holds a key no later one does, explicit zero
+    entries and empty columns, among random columns on the same keys."""
+    nonzero = entries.filter(bool)
+    keys = st.integers(0, 9)
+    columns = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("unit", "chain", "zero", "empty", "random")))
+        if kind == "unit":
+            vec = {draw(keys): draw(nonzero)}
+        elif kind == "chain":
+            start, length = draw(keys), draw(st.integers(1, 4))
+            columns += [{start + i: draw(nonzero), start + i + 1: draw(nonzero)}
+                        for i in range(length)]
+            continue
+        elif kind == "zero":
+            vec = {draw(keys): Fraction(0)}
+        elif kind == "empty":
+            vec = {}
+        else:
+            vec = draw(st.dictionaries(keys, entries, max_size=4))
+        if draw(st.booleans()):  # an explicit zero on another key
+            vec.setdefault(draw(keys), Fraction(0))
+        columns.append(vec)
+    return dict(enumerate(draw(st.permutations(columns))))
+
+
+def sympy_rank_on_keys(columns):
+    """The rank over QQ of the columns {tag: vec} on all their keys."""
+    keys = sorted({k for vec in columns.values() for k in vec})
+    if not keys:
+        return 0
+    return sympy.Matrix([[sympy.Rational(vec.get(k, 0).numerator,
+                                         vec.get(k, 0).denominator)
+                          for vec in columns.values()] for k in keys]).rank()
+
+
+@settings(max_examples=300, deadline=None)
+@given(singleton_systems())
+def test_rank_presolve_matches_sympy(columns):
+    # the presolve peels unit columns and keys held once, clearing a unit
+    # column's key from the others, and counts no column that is zero
+    assert linalg.rank(columns) == sympy_rank_on_keys(columns)
