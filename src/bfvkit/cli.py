@@ -27,7 +27,7 @@ from .generators import Kind, bfv0_table
 from .gpoly import GPoly
 from .grammar import parse as parse_expr
 from .grammar import serialize
-from .homotopy import BracketTower, h0_probe, homotopy_jacobi_residual
+from .homotopy import BracketTower, h0_probe, jacobi_residuals
 from .liedata import validate_bialgebra, validate_dgla, validate_lie, \
     validate_module, validate_quasi
 from .presets import PRESET_NAMES, load_preset
@@ -174,31 +174,24 @@ def run(command: str, args) -> int:
     elif command == "brackets":
         series = _series(scenario, args.kmax, args.ansatz_degree)
         tower = BracketTower(series)
-        gens = _lagrangian_generators(scenario)
-        for name, g in gens:
+        names, gens = zip(*_lagrangian_generators(scenario))
+        for name, g in zip(names, gens):
             em.value(f"ell1.{name}", serialize(tower.ell1(g)))
-        for name1, g1 in gens:
-            for name2, g2 in gens:
-                val = tower.ell2(g1, g2)
+        for name1, row in zip(names, tower.ell2_table(gens, gens)):
+            for name2, val in zip(names, row):
                 if val:
                     em.value(f"ell2.{name1}.{name2}", serialize(val))
 
     elif command == "jacobi":
         series = _series(scenario, args.kmax, args.ansatz_degree)
         tower = BracketTower(series)
-        base = [(scenario.table.gen(g).name, GPoly.gen(scenario.table, g))
-                for g in scenario.table.ids_of_kind(Kind.BASE)]
-        ok = True
-        for i in range(len(base)):
-            for j in range(i + 1, len(base)):
-                for k in range(j + 1, len(base)):
-                    r = homotopy_jacobi_residual(
-                        tower, base[i][1], base[j][1], base[k][1])
-                    key = f"{base[i][0]}.{base[j][0]}.{base[k][0]}"
-                    em.value(f"jacobi.{key}", serialize(r))
-                    if r:
-                        ok = False
-        em.check("homotopy-jacobi", PASS if ok else FAIL)
+        base = scenario.table.ids_of_kind(Kind.BASE)
+        names = [scenario.table.gen(g).name for g in base]
+        residuals = jacobi_residuals(
+            tower, [GPoly.gen(scenario.table, g) for g in base])
+        for (i, j, k), r in residuals.items():
+            em.value(f"jacobi.{names[i]}.{names[j]}.{names[k]}", serialize(r))
+        em.check("homotopy-jacobi", FAIL if any(residuals.values()) else PASS)
 
     elif command == "probe-h0":
         series = _series(scenario, args.kmax, args.ansatz_degree)

@@ -506,3 +506,50 @@ def test_machine_output_identical_across_processes(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_brackets_and_jacobi_print_the_per_pair_loops(capsys, name):
+    # the old loops: l_1 per generator, l_2 per ordered pair (zeros
+    # skipped), the residual per base triple i < j < k
+    from itertools import combinations
+
+    from bfvkit.generators import Kind
+    from bfvkit.grammar import serialize
+    from bfvkit.homotopy import BracketTower, homotopy_jacobi_residual
+
+    code, out = run_cli(capsys, "brackets", "--scenario", name,
+                        "--format", "machine")
+    assert code == 0
+    scenario = cli._load_scenario(name)[1]
+    tower = BracketTower(cli._series(scenario, 2, 4))
+    gens = cli._lagrangian_generators(scenario)
+    lines = [f"ell1.{n}={serialize(tower.ell1(g))}" for n, g in gens]
+    lines += [f"ell2.{n1}.{n2}={serialize(v)}" for n1, g1 in gens
+              for n2, g2 in gens if (v := tower.ell2(g1, g2))]
+    assert out.splitlines()[3:] == lines
+
+    code, out = run_cli(capsys, "jacobi", "--scenario", name,
+                        "--format", "machine")
+    assert code == 0
+    base = gens[:len(scenario.table.ids_of_kind(Kind.BASE))]  # listed first
+    lines = [f"jacobi.{a}.{b}.{c}="
+             + serialize(homotopy_jacobi_residual(tower, f, g, h))
+             for (a, f), (b, g), (c, h) in combinations(base, 3)]
+    assert out.splitlines()[3:] == lines + ["check.homotopy-jacobi=pass"]
+
+
+def test_python_dash_m_runs_the_cli():
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {"PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": src}
+
+    def run(scenario):
+        return subprocess.run(
+            [sys.executable, "-m", "bfvkit", "validate", "--scenario", scenario],
+            capture_output=True, text=True, env=env).returncode
+
+    assert run("so3-classical") == 0
+    assert run(str(Path(__file__).parent / "no-such-document.json")) == 2

@@ -2,8 +2,10 @@
 
 import copy
 import types
+import warnings
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from bfvkit.generators import Kind, bfv1_table
 from bfvkit.gpoly import GPoly, bracket, inner_derivation
 from bfvkit.grammar import parse, serialize
 from bfvkit.homotopy import (BracketTower, ProbeReport, class_equals, h0_probe,
-                             homotopy_jacobi_residual, restrict_check)
+                             homotopy_jacobi_residual, jacobi_residuals,
+                             restrict_check)
 from bfvkit.linalg import EchelonSolver
 from bfvkit.liedata import preset_lie
 from bfvkit.presets import PRESET_NAMES, load_preset
@@ -271,6 +274,79 @@ def test_jacobi_exact_series_random_triples(so3_classical, so3_tower, rng):
             continue
         done += 1
         assert not homotopy_jacobi_residual(so3_tower, f, g, h)
+
+
+def test_ell_checks_its_arguments_before_truncation(so3_classical, so3_tower):
+    t = so3_classical.table
+    e1, x1, x2 = (parse(t, f"1 * {v}") for v in ("e1", "x1", "x2"))
+    for k, args in ((1, [e1]), (2, [e1, x1]), (3, [e1, x1, x2]), (3, [x1, x2, e1])):
+        with pytest.raises(NotInLagrangian):
+            so3_tower.ell(k, args)
+
+
+def oracle_residual(tower, f, g, h):
+    """The homotopy Jacobi residual from ell1, ell2 and ell3 alone."""
+    pf, pg, ph = f.parity(), g.parity(), h.parity()
+    lhs = GPoly.zero(tower.table)
+    for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
+        lhs = lhs + (-1) ** (a.parity() * c.parity()) * tower.ell2(a, tower.ell2(b, c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        l1f, l1g, l1h = tower.ell1(f), tower.ell1(g), tower.ell1(h)
+        rhs = tower.ell1(tower.ell3(f, g, h)) + tower.ell3(l1f, g, h) \
+            + (-1) ** pf * tower.ell3(f, l1g, h) \
+            + (-1) ** (pf + pg) * tower.ell3(f, g, l1h)
+    return lhs - (-1) ** (pf * ph) * rhs
+
+
+def lagrangian_gens(table):
+    return [GPoly.gen(table, g) for kind in (Kind.BASE, Kind.GHOST_G,
+                                             Kind.ANTIGHOST_H)
+            for g in table.ids_of_kind(kind)]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_jacobi_residuals_match_the_ell_oracle(name):
+    # every triple of base, c and B generators; on the exact series, and on
+    # one with Pi^(-1) doubled, where the identity fails and both must agree
+    scenario = parse_scenario(load_preset(name))
+    tower = tower_for(scenario)
+    gens = lagrangian_gens(scenario.table)
+    series = [tower.series]
+    if len(tower.series.terms) >= 2:
+        Pi, P1, *rest = tower.series.terms
+        series.append(ChargeSeries(Q=tower.series.Q, terms=[Pi, 2 * P1, *rest]))
+    for s in series:
+        tw = BracketTower(s)
+        table = jacobi_residuals(tw, gens)
+        assert list(table) == list(combinations(range(len(gens)), 3))
+        for (i, j, k), r in table.items():
+            assert r == oracle_residual(tw, gens[i], gens[j], gens[k])
+        assert any(table.values()) == (s is not tower.series)
+
+
+@pytest.mark.parametrize("name", ["quasi-chi", "aff1-bialgebra"])
+def test_jacobi_residuals_match_the_ell_oracle_off_the_generators(name, rng):
+    # random homogeneous elements of every parity, Pi^(-1) doubled
+    scenario = parse_scenario(load_preset(name))
+    Pi, P1, *rest = tower_for(scenario).series.terms
+    tower = BracketTower(ChargeSeries(Q=build_charge_deg1(scenario),
+                                      terms=[Pi, 2 * P1, *rest]))
+    fs = [rand_lagrangian(scenario.table, rng) for _ in range(7)]
+    table = jacobi_residuals(tower, fs)
+    for (i, j, k), r in table.items():
+        assert r == oracle_residual(tower, fs[i], fs[j], fs[k])
+    assert any(table.values())
+
+
+def test_jacobi_residuals_check_their_arguments(so3_classical, so3_tower):
+    t = so3_classical.table
+    x1, x2 = parse(t, "1 * x1"), parse(t, "1 * x2")
+    with pytest.raises(ValueError):
+        jacobi_residuals(so3_tower, [x1, parse(t, "1 * x1 + 1 * c1"), x2])
+    with pytest.raises(NotInLagrangian):
+        jacobi_residuals(so3_tower, [x1, x2, parse(t, "1 * e1")])
+    assert jacobi_residuals(so3_tower, [x1, x2]) == {}
 
 
 # -- H^0 probe ---------------------------------------------------------
