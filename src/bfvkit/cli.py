@@ -24,7 +24,7 @@ from .engine import (ChargeSeries, build_charge_deg0, build_charge_deg1,
 from .errors import BfvError, NotFound, ParseError, SchemaError, \
     ShapeMismatch
 from .generators import Kind, bfv0_table
-from .gpoly import GPoly
+from .gpoly import GPoly, bracket
 from .grammar import parse as parse_expr
 from .grammar import serialize
 from .homotopy import BracketTower, h0_probe, jacobi_residuals
@@ -157,8 +157,6 @@ def run(command: str, args) -> int:
         Pi = cocycle_lift(scenario, Q, args.ansatz_degree)
         em.value("pi", serialize(scenario.pi))
         em.value("lift", serialize(Pi))
-        from .gpoly import bracket
-
         em.check("lift-closed", PASS if not bracket(Q, Pi) else FAIL)
 
     elif command == "extend":

@@ -36,10 +36,11 @@ the cobracket and for chi (over all six permutations).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import ExponentOverflow, ParseError, SchemaError
 from .generators import bfv1_table
 from .grammar import parse
 from .liedata import (BialgebraData, DglaData, LieAlgebraData,
@@ -81,8 +82,6 @@ def _antisym_complete(table, swap):
 
 
 def _chi_complete(table):
-    import itertools
-
     out = dict(table)
     for (i, j, k), v in table.items():
         base = (i, j, k)
@@ -159,8 +158,6 @@ def parse_scenario(doc: dict) -> Scenario:
     table = bfv1_table(n, dim_g, dim_h)
 
     def expr(text, key):
-        from .errors import ExponentOverflow, ParseError
-
         if not isinstance(text, str):
             raise SchemaError(key, "expected an expression string")
         try:
@@ -188,6 +185,11 @@ def parse_scenario(doc: dict) -> Scenario:
             raise SchemaError("basis_matrices", f"expected {len(phi)} x {len(phi)} "
                               "matrices, the size of phi")
 
+    if kind == "group_valued":
+        for key, val in (("phi", phi), ("basis_matrices", basis_matrices)):
+            if val is None:
+                raise SchemaError(key, "required for group_valued scenarios")
+
     sample_points = [tuple(_rat(v, "sample_points") for v in pt)
                      for pt in doc.get("sample_points") or []]
     for pt in sample_points:
@@ -198,7 +200,7 @@ def parse_scenario(doc: dict) -> Scenario:
     if mode not in ("chi", "ideal"):
         raise SchemaError("quasi_master_mode", "must be 'chi' or 'ideal'")
 
-    scenario = Scenario(
+    return Scenario(
         kind=kind, n=n, table=table, pi=pi, psi=psi, J0=J0, lie=L,
         module=module, dgla=dgla, bialgebra=bialgebra, quasi=quasi,
         truncation_order=_int(doc.get("truncation_order", 4), "truncation_order", 0),
@@ -206,8 +208,6 @@ def parse_scenario(doc: dict) -> Scenario:
         assumptions=dict(doc.get("assumptions") or {}),
         phi=phi, basis_matrices=basis_matrices, sample_points=sample_points,
         quasi_master_mode=mode, name=doc.get("name", "scenario"))
-    scenario.check_shapes()
-    return scenario
 
 
 def scenario_digest(doc: dict) -> str:

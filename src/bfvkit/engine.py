@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import (LiftNotFound, NotBihomogeneous, NotFound, PresetMismatch,
                      SchemaError, ShapeMismatch)
@@ -37,7 +38,9 @@ from .generators import Kind
 from .gpoly import (Derivation, GPoly, bracket, derivation_sources,
                     inner_derivation)
 from .linalg import EchelonSolver
-from .scenario import Scenario, constraint_charge
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 
 def _ghost_cubics(table, entries, key, *kinds):
@@ -75,7 +78,7 @@ def build_charge_deg1(S: Scenario) -> GPoly:
     table = S.table
     if table.preset != "BFV1":
         raise PresetMismatch("build_charge_deg1 requires a BFV1 table")
-    Q = constraint_charge(S) - Fraction(1, 2) * _ghost_cubics(
+    Q = S.constraint_charge - Fraction(1, 2) * _ghost_cubics(
         table, S.lie.c, "lie.c", Kind.GHOST_G, Kind.GHOST_G, Kind.ANTIGHOST_G)
     if S.module:
         Q = Q - _ghost_cubics(table, S.module.d, "lie.d",
@@ -260,9 +263,10 @@ def cocycle_lift(S: Scenario, Q: GPoly, ansatz_degree: int = 4) -> GPoly:
             corr = corr - v * (S.gen(Kind.GHOST_H, i) * S.gen(Kind.ANTIGHOST_G, j))
         candidate = pi + corr
     elif S.kind in ("bialgebra", "quasi_bialgebra") and S.bialgebra is not None:
+        psi = S.constraints[0]
         corr = GPoly.zero(table)
         for (j, i, k), v in S.bialgebra.a.items():
-            corr = corr + v * (S.psi[i - 1] * S.gen(Kind.GHOST_G, j)
+            corr = corr + v * (psi[i - 1] * S.gen(Kind.GHOST_G, j)
                                * S.gen(Kind.ANTIGHOST_G, k))
         candidate = pi + corr
     if candidate is not None and not bracket(Q, candidate):

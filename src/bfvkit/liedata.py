@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+from .linalg import rank
 from .reports import ValidationReport
 
 
@@ -273,13 +274,10 @@ def validate_quasi(L: LieAlgebraData, Q: QuasiBialgebraData) -> ValidationReport
             if Q.g(i, j) != Q.g(j, i):
                 rep.record("metric-symmetric", False, f"({i},{j})")
                 ok = False
-    from .linalg import EchelonSolver
-
-    es = EchelonSolver()
-    for j in range(1, n + 1):
-        es.add_column(j, {i: Q.g(i, j) for i in range(1, n + 1) if Q.g(i, j)})
-    if es.rank() != n:
-        rep.record("metric-invertible", False, f"rank {es.rank()} < {n}")
+    r = rank({j: {i: Q.g(i, j) for i in range(1, n + 1) if Q.g(i, j)}
+              for j in range(1, n + 1)})
+    if r != n:
+        rep.record("metric-invertible", False, f"rank {r} < {n}")
         ok = False
     # ad-invariance: c^{ij}_m g_{mk} + c^{ik}_m g_{jm} = 0
     for i in range(1, n + 1):

@@ -8,6 +8,10 @@ equal to the identity at the origin; its logarithm is truncated at the
 scenario's truncation order and paired against the Lie algebra basis
 matrices to produce ordinary polynomial constraints.
 
+A Scenario is frozen and keeps psi and J0 as its document gives them.  Its
+constraints, with any synthesized psi or log constraints, and its
+constraint charge are derived once, at first use, and cached on it.
+
 The matrix series run on integers.  A series is (codec, entries, d): each
 entry split once by base degree, {degree: {monomial: int}}, over one
 positive denominator d for the whole matrix; products go through
@@ -27,29 +31,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
 
+from .engine import _reached_solve, _shift_part
 from .errors import BfvError, NotNearIdentity, RankDeficient, ShapeMismatch
 from .generators import GeneratorTable, Kind
 from .gpoly import GPoly, bracket, mul_into
 from .liedata import (BialgebraData, DglaData, LieAlgebraData,
                       ModuleActionData, QuasiBialgebraData)
-from .linalg import EchelonSolver
+from .linalg import EchelonSolver, rank
 from .reports import ValidationReport
 
 KINDS = ("classical_hamiltonian", "generalized_pair", "dgla", "bialgebra",
          "quasi_bialgebra", "group_valued")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     kind: str
     n: int
     table: GeneratorTable
     pi: GPoly
-    psi: list
-    J0: list
+    psi: tuple
+    J0: tuple
     lie: LieAlgebraData
     module: ModuleActionData | None = None
     dgla: DglaData | None = None
@@ -72,13 +78,19 @@ class Scenario:
     def dim_h(self) -> int:
         return self.module.dim_h if self.module else 0
 
-    def check_shapes(self):
+    def __post_init__(self):
+        """Store psi and J0 as tuples, as given, and check the shapes."""
+        object.__setattr__(self, "psi", tuple(self.psi))
+        object.__setattr__(self, "J0", tuple(self.J0))
         if self.kind not in KINDS:
             raise ShapeMismatch(f"unknown scenario kind {self.kind!r}")
         if self.psi and len(self.psi) != self.dim_g:
             raise ShapeMismatch("psi length must equal dim g")
         if self.J0 and len(self.J0) != self.dim_h:
             raise ShapeMismatch("J0 length must equal dim h")
+        if self.kind == "group_valued" and (self.phi is None
+                                            or self.basis_matrices is None):
+            raise ShapeMismatch("group_valued scenarios need phi and basis_matrices")
         allowed = {Kind.BASE, Kind.FIBER}
         for name, polys in (("pi", [self.pi]), ("psi", self.psi), ("J0", self.J0)):
             for p in polys:
@@ -93,6 +105,42 @@ class Scenario:
             if p and p.degree_support() != [0]:
                 raise ShapeMismatch("J0 entries must have function degree 0")
 
+    @cached_property
+    def constraints(self) -> tuple:
+        """(deg1, deg0): the degree-(1, 0) ideal generators J1#(u^i) = psi_i
+        and J0#(v^j), with missing data synthesized per kind.
+
+        For classical scenarios with omitted psi the action fields are the
+        hamiltonian fields {pi, J0_i}; for group-valued scenarios with
+        omitted J0 the degree-zero constraints come from the truncated
+        matrix log.  Derived at first use, so a document whose log
+        constraints fail (NotNearIdentity, RankDeficient) still parses.
+        """
+        psi, J0 = self.psi, self.J0
+        if self.kind == "classical_hamiltonian" and not psi:
+            if len(J0) != self.dim_g:
+                raise ShapeMismatch("classical synthesis needs one J0 per g-basis element")
+            psi = tuple(bracket(self.pi, j) for j in J0)
+        if self.kind == "group_valued" and not J0:
+            J0 = tuple(group_log_constraints(self))
+        if len(psi) != self.dim_g:
+            raise ShapeMismatch("assembled psi length must equal dim g")
+        if self.dim_h and len(J0) != self.dim_h:
+            raise ShapeMismatch("assembled J0 length must equal dim h")
+        return psi, J0
+
+    @cached_property
+    def constraint_charge(self) -> GPoly:
+        """psi_i c_i + J0_j C_j over the constraints: the part of the charge
+        whose delta_V sends b_i to psi_i and B_j to J0_j.  That delta_V,
+        compiled once and cached on this GPoly, is the operator of every
+        membership solve of the scenario."""
+        K = GPoly.zero(self.table)
+        for kind, gens in zip((Kind.GHOST_G, Kind.GHOST_H), self.constraints):
+            for i, g in enumerate(gens, start=1):
+                K = K + g * self.gen(kind, i)
+        return K
+
     # -- generator access ----------------------------------------------
 
     def gen(self, kind: Kind, i: int) -> GPoly:
@@ -104,61 +152,15 @@ class Scenario:
         out = GPoly.zero(self.table)
         if not self.quasi:
             return out
+        psi = self.constraints[0]
         n = self.dim_g
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 for k in range(j + 1, n + 1):
                     v = self.quasi.x3(i, j, k)
                     if v:
-                        out = out + v * (self.psi[i - 1] * self.psi[j - 1]
-                                         * self.psi[k - 1])
+                        out = out + v * (psi[i - 1] * psi[j - 1] * psi[k - 1])
         return out
-
-
-@dataclass
-class ConstraintSet:
-    deg1: list  # fiber-linear generators J1#(u^i) = psi_i
-    deg0: list  # base-degree-zero generators J0#(v^j)
-
-    @property
-    def generators(self):
-        return list(self.deg1) + list(self.deg0)
-
-
-def assemble_constraints(S: Scenario) -> ConstraintSet:
-    """Degree-(1, 0) ideal generators; synthesizes missing data per kind.
-
-    For classical scenarios with omitted psi the action fields are the
-    hamiltonian fields {pi, J0_i}; for group-valued scenarios with omitted
-    J0 the degree-zero constraints come from the truncated matrix log.
-    """
-    S.check_shapes()
-    psi = list(S.psi)
-    J0 = list(S.J0)
-    if S.kind == "classical_hamiltonian" and not psi:
-        if len(J0) != S.dim_g:
-            raise ShapeMismatch("classical synthesis needs one J0 per g-basis element")
-        psi = [bracket(S.pi, j) for j in J0]
-    if S.kind == "group_valued" and not J0:
-        J0 = group_log_constraints(S)
-    if len(psi) != S.dim_g:
-        raise ShapeMismatch("assembled psi length must equal dim g")
-    if S.dim_h and len(J0) != S.dim_h:
-        raise ShapeMismatch("assembled J0 length must equal dim h")
-    S.psi = psi
-    S.J0 = J0
-    return ConstraintSet(deg1=psi, deg0=J0)
-
-
-def constraint_charge(S: Scenario) -> GPoly:
-    """psi_i c_i + J0_j C_j over the assembled constraints: the part of the
-    charge whose delta_V sends b_i to psi_i and B_j to J0_j."""
-    cs = assemble_constraints(S)
-    K = GPoly.zero(S.table)
-    for kind, gens in ((Kind.GHOST_G, cs.deg1), (Kind.GHOST_H, cs.deg0)):
-        for i, g in enumerate(gens, start=1):
-            K = K + g * S.gen(kind, i)
-    return K
 
 
 def check_equivariance(S: Scenario) -> ValidationReport:
@@ -168,7 +170,7 @@ def check_equivariance(S: Scenario) -> ValidationReport:
     truncation order, since their constraints are themselves truncated.
     """
     rep = ValidationReport("equivariance")
-    cs = assemble_constraints(S)
+    deg1, deg0 = S.constraints
     n = S.dim_g
 
     def cut(p):
@@ -177,12 +179,12 @@ def check_equivariance(S: Scenario) -> ValidationReport:
     ok = True
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            lhs = bracket(cs.deg1[i - 1], cs.deg1[j - 1])
+            lhs = bracket(deg1[i - 1], deg1[j - 1])
             rhs = GPoly.zero(S.table)
             for k in range(1, n + 1):
                 v = S.lie.C(i, j, k)
                 if v:
-                    rhs = rhs + v * cs.deg1[k - 1]
+                    rhs = rhs + v * deg1[k - 1]
             if cut(lhs - rhs):
                 rep.record("action-bracket", False, f"(psi{i},psi{j})")
                 ok = False
@@ -193,12 +195,12 @@ def check_equivariance(S: Scenario) -> ValidationReport:
         ok = True
         for i in range(1, n + 1):
             for j in range(1, S.dim_h + 1):
-                lhs = bracket(cs.deg1[i - 1], cs.deg0[j - 1])
+                lhs = bracket(deg1[i - 1], deg0[j - 1])
                 rhs = GPoly.zero(S.table)
                 for p in range(1, S.dim_h + 1):
                     v = mod.D(i, j, p)
                     if v:
-                        rhs = rhs + v * cs.deg0[p - 1]
+                        rhs = rhs + v * deg0[p - 1]
                 if cut(lhs - rhs):
                     rep.record("moment-equivariance", False, f"(psi{i},J0_{j})")
                     ok = False
@@ -207,45 +209,34 @@ def check_equivariance(S: Scenario) -> ValidationReport:
     return rep
 
 
-def constraint_delta_v(S: Scenario):
-    """delta_V of ``constraint_charge(S)``, compiled: the operator of every
-    membership solve of the scenario."""
-    from .engine import _shift_part
-
-    return _shift_part(constraint_charge(S), (0, -1))
-
-
-def ideal_membership(S: Scenario, target: GPoly, bound: int | None = None,
-                     delta_v=None):
+def ideal_membership(S: Scenario, target: GPoly, bound: int | None = None):
     """Cofactors h_g with target = sum h_g * g over the constraint ideal.
 
-    The generators g are those of ``assemble_constraints(S)``.  delta_V of
-    ``constraint_charge(S)`` sends the antighost a_g of g (b_i for psi_i,
-    B_j for J0_j) to g and kills base and fiber functions, so the target
-    is in the ideal exactly when it is delta_V of a sum P of monomials
-    h * a_g, h base/fiber: one Koszul solve over the columns it reaches, of
-    base degree at most ``bound``.  delta_V is odd, so the cofactor of g is
-    (-1)^|h| h over the terms h of dP/da_g|R.  Returns the cofactors,
-    parallel to the generators and checked to rebuild the target, or None
-    when the bounded system is inconsistent.  A caller with several
-    targets passes ``delta_v = constraint_delta_v(S)``, compiled once.
+    The generators g are those of ``S.constraints``, deg1 then deg0.
+    delta_V of ``S.constraint_charge`` sends the antighost a_g of g (b_i
+    for psi_i, B_j for J0_j) to g and kills base and fiber functions, so
+    the target is in the ideal exactly when it is delta_V of a sum P of
+    monomials h * a_g, h base/fiber: one Koszul solve over the columns it
+    reaches, of base degree at most ``bound``.  delta_V is odd, so the
+    cofactor of g is (-1)^|h| h over the terms h of dP/da_g|R.  Returns the
+    cofactors, parallel to the generators and checked to rebuild the
+    target, or None when the bounded system is inconsistent.  delta_V is
+    compiled once per scenario, on its constraint charge.
     """
-    from .engine import _reached_solve
-
     bound = S.degree_bound if bound is None else bound
-    delta_v = constraint_delta_v(S) if delta_v is None else delta_v
     table = S.table
     P, _cols, _rank = _reached_solve(
-        delta_v, target, [(d - 1, 0, 1) for d in target.degree_support()],
-        [bound])
+        _shift_part(S.constraint_charge, (0, -1)), target,
+        [(d - 1, 0, 1) for d in target.degree_support()], [bound])
     if P is None:
         return None
     ags = table.ids_of_kind(Kind.ANTIGHOST_G) + table.ids_of_kind(Kind.ANTIGHOST_H)
     dP = P.partials("right")
     cof = [GPoly._make(table, {m: -c if P.mono_degree(m) % 2 else c
                                for m, c in dP.get(a, {}).items()}, P.den) for a in ags]
+    deg1, deg0 = S.constraints
     rebuilt = GPoly.zero(table)
-    for h, g in zip(cof, assemble_constraints(S).generators):
+    for h, g in zip(cof, deg1 + deg0):
         rebuilt = rebuilt + h * g
     if rebuilt != target or any(h.max_base_degree() > bound for h in cof):
         raise BfvError("ideal membership cofactors failed verification")
@@ -257,19 +248,16 @@ def check_compatibility(S: Scenario, bound: int | None = None) -> ValidationRepo
     weak-master checks.  Membership failures at the bound are reported as
     undecided, never as failures."""
     rep = ValidationReport("compatibility")
-    cs = assemble_constraints(S)
+    deg1, deg0 = S.constraints
     bound = S.degree_bound if bound is None else bound
-    names = [f"psi{i+1}" for i in range(len(cs.deg1))] + \
-            [f"J0_{j+1}" for j in range(len(cs.deg0))]
-    delta_v = None
-    for name, g in zip(names, cs.generators):
+    names = [f"psi{i+1}" for i in range(len(deg1))] + \
+            [f"J0_{j+1}" for j in range(len(deg0))]
+    for name, g in zip(names, deg1 + deg0):
         br = bracket(S.pi, g)
         if not br:
             rep.record(f"normalizer.{name}", True)
             continue
-        if delta_v is None:
-            delta_v = constraint_delta_v(S)
-        cof = ideal_membership(S, br, bound, delta_v)
+        cof = ideal_membership(S, br, bound)
         if cof is None:
             rep.record_undecided(f"normalizer.{name}",
                                  f"membership undecided at bound {bound}")
@@ -284,8 +272,8 @@ def check_compatibility(S: Scenario, bound: int | None = None) -> ValidationRepo
                 for j in range(1, n + 1):
                     v = S.bialgebra.ab(k, i, j)
                     if v:
-                        rhs = rhs + v * (cs.deg1[i - 1] * cs.deg1[j - 1])
-            if bracket(S.pi, cs.deg1[k - 1]) != rhs:
+                        rhs = rhs + v * (deg1[i - 1] * deg1[j - 1])
+            if bracket(S.pi, deg1[k - 1]) != rhs:
                 rep.record("cobracket-covariance", False, f"psi{k}")
                 ok = False
         if ok:
@@ -300,7 +288,7 @@ def check_compatibility(S: Scenario, bound: int | None = None) -> ValidationRepo
             if not br:
                 rep.record("weak-master", True, "{pi,pi} = 0")
             else:
-                cof = ideal_membership(S, br, bound, delta_v)
+                cof = ideal_membership(S, br, bound)
                 if cof is None:
                     rep.record_undecided("weak-master",
                                          f"membership undecided at bound {bound}")
@@ -467,8 +455,6 @@ def group_log_constraints(S: Scenario) -> list:
     """
     if S.kind != "group_valued":
         raise ShapeMismatch("group_log_constraints requires a group_valued scenario")
-    if S.phi is None or S.basis_matrices is None:
-        raise ShapeMismatch("group_valued scenarios need phi and basis_matrices")
     order = S.truncation_order
     table = S.table
     N = _log_argument(S, order)
@@ -486,17 +472,13 @@ def group_log_constraints(S: Scenario) -> list:
     points = S.sample_points or [tuple(Fraction(0) for _ in base_ids)]
     for pt in points:
         point = {gid: Fraction(v) for gid, v in zip(base_ids, pt)}
-        es = EchelonSolver()
-        for k, f in enumerate(fks):
-            grad = {}
-            for col, gid in enumerate(base_ids):
-                val = f.deriv(gid).eval_base(point)
-                if val:
-                    grad[col] = val.const_value()
-            es.add_column(k, grad)
-        if es.rank() != len(fks):
+        grads = {k: {col: val.const_value() for col, gid in enumerate(base_ids)
+                     if (val := f.deriv(gid).eval_base(point))}
+                 for k, f in enumerate(fks)}
+        r = rank(grads)
+        if r != len(fks):
             raise RankDeficient(
-                f"constraint differentials have rank {es.rank()} < {len(fks)}"
+                f"constraint differentials have rank {r} < {len(fks)}"
                 f" at sample point {tuple(map(str, pt))}")
     return fks
 

@@ -416,8 +416,12 @@ def shrink_basis_matrix(doc):
     (widen_phi, "phi", "expected a square matrix, rows of [4, 4, 4]"),
     (lambda doc: doc["phi"].pop(), "phi", "expected a square matrix"),
     (shrink_basis_matrix, "basis_matrices",
-     "expected 3 x 3 matrices, the size of phi")],
-    ids=["phi-3x4", "phi-2x3", "basis-matrix-2x2"])
+     "expected 3 x 3 matrices, the size of phi"),
+    # bch died of a TypeError (exit 1), validate of a ShapeMismatch (exit 1)
+    (lambda doc: doc.pop("phi"), "phi", "required for group_valued scenarios"),
+    (lambda doc: doc.pop("basis_matrices"), "basis_matrices",
+     "required for group_valued scenarios")],
+    ids=["phi-3x4", "phi-2x3", "basis-matrix-2x2", "no-phi", "no-basis-matrices"])
 @pytest.mark.parametrize("argv", [["validate"], ["bch", "--order", "3"]])
 def test_group_valued_matrix_shapes_are_schema_errors(tmp_path, capsys, change,
                                                       key, message, argv):

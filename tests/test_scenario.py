@@ -1,22 +1,23 @@
 """Scenario assembly, equivariance/compatibility checks, group constraints."""
 
 import copy
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
 
 from bfvkit.config import parse_scenario
+from bfvkit.engine import build_charge_deg1, cocycle_lift
 from bfvkit.errors import (BfvError, NotNearIdentity, RankDeficient,
-                           SchemaError)
+                           SchemaError, ShapeMismatch)
 from bfvkit.generators import Kind, bfv1_table
 from bfvkit.gpoly import GPoly, bracket
 from bfvkit.grammar import parse, serialize
-from bfvkit.liedata import preset_lie
-from bfvkit.presets import load_preset
-from bfvkit.scenario import (Scenario, assemble_constraints,
-                             bch_transport_check, check_compatibility,
-                             check_equivariance, group_log_constraints,
-                             ideal_membership)
+from bfvkit.liedata import ModuleActionData, preset_lie
+from bfvkit.presets import PRESET_NAMES, load_preset
+from bfvkit.scenario import (Scenario, bch_transport_check,
+                             check_compatibility, check_equivariance,
+                             group_log_constraints, ideal_membership)
 
 
 def canonical_bracket(table, f, g, n_half):
@@ -31,22 +32,22 @@ def canonical_bracket(table, f, g, n_half):
 
 
 def test_assemble_abelian_translation(abelian_translation):
-    cs = assemble_constraints(abelian_translation)
-    assert cs.deg1 == [parse(abelian_translation.table, "1 * e2")]
-    assert cs.deg0 == []
+    deg1, deg0 = abelian_translation.constraints
+    assert deg1 == (parse(abelian_translation.table, "1 * e2"),)
+    assert deg0 == ()
 
 
 def test_assemble_classical_synthesis(so3_classical):
     # hamiltonian synthesis: with psi omitted, deg1_k = {pi, J0_k}; the
     # synthesized field acts on functions as minus the canonical bracket
     # with J0_k (oracle below), matching the degree -1 sign conventions
-    S = copy.deepcopy(so3_classical)
-    S.psi = []
-    cs = assemble_constraints(S)
-    assert len(cs.deg1) == 3
+    S = replace(so3_classical, psi=())
+    deg1, _deg0 = S.constraints
+    assert S.psi == ()
+    assert len(deg1) == 3
     t = S.table
     for k in range(3):
-        V = cs.deg1[k]
+        V = deg1[k]
         assert V == bracket(S.pi, S.J0[k])
         for probe in ("1 * x1", "1 * x4", "1 * x2 x5"):
             f = parse(t, probe)
@@ -54,9 +55,9 @@ def test_assemble_classical_synthesis(so3_classical):
 
 
 def test_assemble_dgla_passthrough(dgla_identity):
-    cs = assemble_constraints(dgla_identity)
-    assert cs.deg1 == dgla_identity.psi
-    assert cs.deg0 == dgla_identity.J0
+    deg1, deg0 = dgla_identity.constraints
+    assert deg1 == dgla_identity.psi
+    assert deg0 == dgla_identity.J0
 
 
 def test_equivariance_abelian(abelian_translation):
@@ -85,15 +86,15 @@ def test_compatibility_so3(so3_classical):
 
 
 def test_membership_reads_assembled_constraints():
-    # on a freshly parsed group-valued scenario J0 is still empty: the log
-    # constraints exist only once assembled, and membership must use them
+    # a group-valued scenario keeps the document's empty J0: the log
+    # constraints exist only in its constraints, and membership must use them
     S = parse_scenario(load_preset("group-valued-so3"))
     S2 = parse_scenario(load_preset("group-valued-so3"))
-    f1 = assemble_constraints(S2).deg0[0]
-    assert S.J0 == []
+    f1 = S2.constraints[1][0]
     cof = ideal_membership(S, f1, 2)
     assert cof is not None
-    gens = assemble_constraints(S).generators
+    assert S.J0 == ()
+    gens = S.constraints[0] + S.constraints[1]
     rebuilt = GPoly.zero(S.table)
     for h, g in zip(cof, gens):
         rebuilt = rebuilt + h * g
@@ -118,26 +119,30 @@ def test_membership_verifies_cofactors(so3_classical, monkeypatch):
                          bracket(so3_classical.pi, so3_classical.J0[0]), 0)
 
 
-def test_compatibility_compiles_delta_v_once(so3_classical, monkeypatch):
+def test_compatibility_compiles_delta_v_once(monkeypatch):
     # three generators have a nonzero {pi, g}: one operator serves all
     # three membership solves, with the answers of separate compiles
     import bfvkit.scenario as scenario
 
-    compiled = []
-    real = scenario.constraint_delta_v
+    ops = []
+    real = scenario._reached_solve
 
-    def counting(S):
-        compiled.append(real(S))
-        return compiled[-1]
+    def recording(op, *args):
+        ops.append(op)
+        return real(op, *args)
 
-    S = copy.deepcopy(so3_classical)
-    targets = [bracket(S.pi, g) for g in assemble_constraints(S).generators]
+    doc = load_preset("so3-classical")
+    S = parse_scenario(doc)
+    targets = [bracket(S.pi, g) for g in S.constraints[0] + S.constraints[1]]
     targets = [t for t in targets if t]
     assert len(targets) == 3
-    assert all(ideal_membership(S, t) is not None for t in targets)
-    monkeypatch.setattr(scenario, "constraint_delta_v", counting)
+    # a fresh scenario per solve compiles its own operator
+    assert all(ideal_membership(parse_scenario(doc), t) is not None
+               for t in targets)
+    monkeypatch.setattr(scenario, "_reached_solve", recording)
     assert check_compatibility(S).passed
-    assert len(compiled) == 1
+    assert len(ops) == 3
+    assert ops[0] is ops[1] is ops[2]
 
 
 def recorded_columns(monkeypatch):
@@ -158,8 +163,7 @@ def recorded_columns(monkeypatch):
 def test_compatibility_poses_only_needed_columns(so3_classical, monkeypatch):
     # every {pi, g} target is reached from base degree 0 columns, so at
     # degree_bound 4 no cofactor monomial of higher base degree is posed
-    S = copy.deepcopy(so3_classical)
-    S.degree_bound = 4
+    S = replace(so3_classical, degree_bound=4)
     seen = recorded_columns(monkeypatch)
     assert check_compatibility(S).passed
     assert seen
@@ -178,8 +182,7 @@ def test_undecided_membership_poses_each_column_once(monkeypatch):
 
 
 def test_compatibility_zero_bivector(so3_classical):
-    S = copy.deepcopy(so3_classical)
-    S.pi = GPoly.zero(S.table)
+    S = replace(so3_classical, pi=GPoly.zero(so3_classical.table))
     assert check_compatibility(S).passed
 
 
@@ -208,11 +211,8 @@ def test_classical_compat_follows_from_equivariance_with_synthesis():
     t = bfv1_table(2, 1, 1)
     S = Scenario(kind="classical_hamiltonian", n=2, table=t,
                  pi=parse(t, "1 * e1 e2"), psi=[], J0=[parse(t, "1 * x2")],
-                 lie=preset_lie("abelian(1)"))
-    from bfvkit.liedata import ModuleActionData
-
-    S.module = ModuleActionData(1, {})
-    assemble_constraints(S)
+                 lie=preset_lie("abelian(1)"), module=ModuleActionData(1, {}))
+    assert S.constraints[0] == (bracket(S.pi, S.J0[0]),)
     assert check_equivariance(S).passed
     assert check_compatibility(S).passed
 
@@ -239,7 +239,7 @@ def test_group_log_single_generator_exponential():
                ["0", "1 - 1/2 * x1^2 + 1/24 * x1^4", "-1 * x1 + 1/6 * x1^3"],
                ["0", "1 * x1 - 1/6 * x1^3", "1 - 1/2 * x1^2 + 1/24 * x1^4"]]
     doc["phi"] = entries
-    with pytest.raises(RankDeficient):
+    with pytest.raises(RankDeficient, match=r"have rank 1 < 3 at sample point"):
         group_log_constraints(parse_scenario(doc))
     # with a one-dimensional algebra the same map has full rank
     doc["lie"] = {"dim_g": 1, "dim_h": 1, "c": [], "d": [[1, 1, 1, 0]]}
@@ -334,26 +334,50 @@ def test_scenario_document_rejects_unknown_keys():
 
 def test_scenario_roundtrip_expressions(so3_classical):
     t = so3_classical.table
-    for p in [so3_classical.pi] + so3_classical.psi + so3_classical.J0:
+    for p in [so3_classical.pi, *so3_classical.psi, *so3_classical.J0]:
         assert parse(t, serialize(p)) == p
 
 
 def test_shape_mismatch_ghost_in_pi(abelian_translation):
-    from bfvkit.errors import ShapeMismatch
-
-    S = copy.deepcopy(abelian_translation)
-    S.pi = parse(S.table, "1 * e1 c1")
+    S = abelian_translation
     with pytest.raises(ShapeMismatch):
-        S.check_shapes()
+        replace(S, pi=parse(S.table, "1 * e1 c1"))
 
 
 def test_shape_mismatch_inhomogeneous_pi(abelian_translation):
-    from bfvkit.errors import ShapeMismatch
-
-    S = copy.deepcopy(abelian_translation)
-    S.pi = parse(S.table, "1 * e1 e2 + 1 * x1")
+    S = abelian_translation
     with pytest.raises(ShapeMismatch):
-        S.check_shapes()
+        replace(S, pi=parse(S.table, "1 * e1 e2 + 1 * x1"))
+
+
+def test_scenario_is_frozen(so3_classical):
+    S = so3_classical
+    with pytest.raises(FrozenInstanceError):
+        S.pi = GPoly.zero(S.table)
+    with pytest.raises(FrozenInstanceError):
+        S.psi = ()
+    assert type(S.psi) is tuple and type(S.J0) is tuple
+    t = bfv1_table(2, 1, 1)
+    built = Scenario(kind="classical_hamiltonian", n=2, table=t,
+                     pi=parse(t, "1 * e1 e2"), psi=[], J0=[parse(t, "1 * x2")],
+                     lie=preset_lie("abelian(1)"), module=ModuleActionData(1, {}))
+    assert built.psi == () and built.J0 == (parse(t, "1 * x2"),)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_checks_leave_the_scenario_as_parsed(name):
+    # the derived data is cached on the scenario, and no check writes to it
+    doc = load_preset(name)
+    S = parse_scenario(doc)
+    constraints = S.constraints
+    check_equivariance(S)
+    check_compatibility(S)
+    Q = build_charge_deg1(S)
+    cocycle_lift(S, Q)
+    if S.kind == "group_valued":
+        bch_transport_check(S, 3)
+    assert S == parse_scenario(doc)
+    assert S.constraints is constraints
 
 
 def test_missing_required_key_rejected():
