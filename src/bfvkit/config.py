@@ -20,7 +20,8 @@ key                  meaning
 ``truncation_order`` series order for group-valued constraints
 ``degree_bound``     base-degree bound for ideal-membership solves
 ``assumptions``      flags echoed in reports, never verified
-``phi``              matrix of expressions (group-valued only)
+``phi``              matrix of expressions in the base coordinates
+                     (group-valued only)
 ``basis_matrices``   rational matrices pairing the Lie basis (group-valued)
 ``sample_points``    rational points for the constraint rank check
 ``quasi_master_mode``  "chi" (exact weak-master) or "ideal" (membership)
@@ -41,7 +42,7 @@ import json
 from fractions import Fraction
 
 from .errors import ExponentOverflow, ParseError, SchemaError
-from .generators import bfv1_table
+from .generators import Kind, bfv1_table
 from .grammar import parse
 from .liedata import (BialgebraData, DglaData, LieAlgebraData,
                       ModuleActionData, QuasiBialgebraData, adjoint_module)
@@ -173,6 +174,10 @@ def parse_scenario(doc: dict) -> Scenario:
     if doc.get("phi") is not None:
         phi = [[expr(s, f"phi[{i}][{j}]") for j, s in enumerate(row)]
                for i, row in enumerate(doc["phi"])]
+        for i, row in enumerate(phi):
+            for j, P in enumerate(row):
+                if not P.kinds_used() <= {Kind.BASE}:
+                    raise SchemaError(f"phi[{i}][{j}]", "must use base generators only")
         if any(len(row) != len(phi) for row in phi):
             raise SchemaError("phi", f"expected a square matrix, rows of {[*map(len, phi)]}")
 

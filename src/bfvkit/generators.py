@@ -172,6 +172,7 @@ class MonomialCodec:
         self.unit.update({g: 1 << (n + i * self.WIDTH)
                           for i, g in enumerate(self.even_ids)})
         self.gid_of_unit = {u: g for g, u in self.unit.items()}
+        self.unit_of_name = {g.name: self.unit[g.gid] for g in table.entries}
         full = {g: self.unit[g] * (1 if g in table.odd_ids else self.FIELD)
                 for g in self.unit}
         self.weights = {g.gid: (g.degree, g.ghost, g.antighost)
@@ -190,6 +191,27 @@ class MonomialCodec:
                                        f" exceeds the cap {self.CAP}")
             key += e * self.unit[g]
         return key
+
+    def product(self, factors) -> tuple | None:
+        """(key, sign) of the product of the generators ``factors``, (unit,
+        exponent) pairs in order, or None when it vanishes.  The factors
+        multiply from the right: an even one adds ``min(e, CAP + 1)`` units,
+        and a set guard raises ExponentOverflow; an odd one sets its bit,
+        with the sign of the odd bits below it, and a repeat (or an
+        exponent above 1) kills the term."""
+        key, sign, odd, guard, top = 0, 1, self.odd_mask, self.guard, self.CAP + 1
+        for unit, e in reversed(factors):
+            if unit & odd:
+                if e > 1 or key & unit:
+                    return None
+                if (key & (unit - 1)).bit_count() & 1:
+                    sign = -sign
+                key |= unit
+            else:
+                key += min(e, top) * unit
+                if key & guard:
+                    raise self.overflow(key)
+        return key, sign
 
     def overflow(self, key: int) -> ExponentOverflow:
         """The error for a key with a set guard bit."""

@@ -20,7 +20,10 @@ bit of the right one: the parity of ``popcount(right & sign_mask(left))``.
 A field whose guard bit the add sets raises ExponentOverflow.  A
 derivative (:func:`_derivatives`) clears an odd bit, with the sign of the odd
 bits it crosses (below it from the left, above it from the right), or
-takes one unit off an even field and multiplies by the exponent.
+takes one unit off an even field and multiplies by the exponent.  A term
+given as its generators in order (:func:`normalize`, the parser) is
+built by :meth:`~bfvkit.generators.MonomialCodec.product`, one generator
+at a time.
 
 The degree -1 (BFV1) or degree 0 (BFV0) Poisson bracket is the biderivation
 generated by the pairing table of the :class:`~bfvkit.generators.GeneratorTable`:
@@ -396,37 +399,37 @@ def normalize(table: GeneratorTable, raw) -> GPoly:
     """Build a canonical GPoly from (rational coefficient, factor-id list)
     pairs.
 
-    Each term is the product of its factors in the order given, so
-    reordering odd factors contributes the sign of the sorting permutation
-    and a repeated odd factor kills the term.
+    Each term is the product of its factors in the order given
+    (:meth:`~bfvkit.generators.MonomialCodec.product`), so reordering odd
+    factors contributes the sign of the sorting permutation and a repeated
+    odd factor kills the term.
     """
-    return _normalize(table, [(*_ratio(c), factors) for c, factors in raw])
-
-
-def _normalize(table: GeneratorTable, raw) -> GPoly:
-    """:func:`normalize` of (numerator, positive denominator, factor ids)
-    triples, summed over the lcm of the denominators."""
     codec = table.codec
-    den = lcm(*(q for p, q, _f in raw if p))
-    gens, acc = {}, {}
-    for p, q, factors in raw:
+    terms = []
+    for c, factors in raw:
+        p, q = _ratio(c)
         if not p:
             continue
-        coeff = p * (den // q)
-        # the factors from the right, each one a prepared left factor
-        term = {0: 1}
-        for gid in reversed(factors):
-            if gid not in gens:
+        for gid in factors:
+            if gid not in codec.unit:
                 table.gen(gid)  # raises UnknownGenerator
-                gens[gid] = _prepared(codec, {codec.unit[gid]: 1})
-            term, prev = {}, term
-            _mul_terms(codec, term, [(gens[gid], k, c) for k, c in prev.items()])
-        for m, sign in term.items():
-            v = acc.get(m, 0) + sign * coeff
-            if v:
-                acc[m] = v
-            else:
-                del acc[m]
+        term = codec.product([(codec.unit[gid], 1) for gid in factors])
+        if term is not None:
+            terms.append((term[0], term[1] * p, q))
+    return _sum_terms(table, terms)
+
+
+def _sum_terms(table: GeneratorTable, terms) -> GPoly:
+    """The sum of (p / q) m over the (key m, p, q > 0) of ``terms``, over the
+    lcm of the q."""
+    den = lcm(*(q for _m, _p, q in terms))
+    acc = {}
+    for m, p, q in terms:
+        v = acc.get(m, 0) + p * (den // q)
+        if v:
+            acc[m] = v
+        else:
+            del acc[m]
     return GPoly._make(table, acc, den)
 
 

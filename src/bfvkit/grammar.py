@@ -13,6 +13,18 @@ h-antighost.  Serialization lists even factors (ascending id) before odd
 factors (ascending id), terms in canonical monomial order, and prints the
 coefficient of every term; parsing accepts factors in any order and
 repeated odd factors (which normalize to zero).
+
+Parsing reads one term per match of one regular expression: an optional
+sign, an optional rational (with ``*``) and the factors, which one
+``findall`` splits.  A term's packed key is built from its factors'
+units by :meth:`~bfvkit.generators.MonomialCodec.product`, from the
+right: an even factor adds ``min(e, CAP + 1)`` units, with the guard bits
+checked after every factor; an odd one sets its bit, takes the sign of the
+odd bits already set below it, and kills the term if already set.  The
+terms are summed over the lcm of their denominators.  A malformed term
+raises ParseError at the position the tokens give it.  Text that no token
+matches is reported first, wherever it is, and an ExponentOverflow only
+once the whole text has parsed.
 """
 
 from __future__ import annotations
@@ -20,11 +32,21 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .errors import ParseError, UnknownGenerator
-from .gpoly import GPoly, _normalize
+from .errors import ExponentOverflow, ParseError
+from .gpoly import GPoly, _sum_terms
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<rat>-?\d+(?:/\d+)?)|(?P<name>[A-Za-z]\d+)"
-                       r"|(?P<op>[*^+-]))")
+# The tokens: a rational, a generator name, an operator.  A '-' followed
+# by a digit starts a rational.  Every token in a pattern below carries the
+# whitespace before it, so a group ends where its last token ends, and a
+# token's position is where the token before it ends.
+_RAT = r"-?\d+(?:/\d+)?"
+_NAME = r"[A-Za-z]\d+"
+_LEX = re.compile(r"(?:\s*(?:" + _RAT + "|" + _NAME + r"|[*^+-]))*")
+# name, '^', exponent
+_FACTOR = re.compile(r"\s*(" + _NAME + r")(?:\s*(\^)(?:\s*(" + _RAT + r"))?)?")
+# sign, numerator, denominator, '*', factors
+_TERM = re.compile(r"(?:\s*(\+|-(?!\d)))?(?:\s*(-?\d+)(?:/(\d+))?(?:\s*(\*))?)?"
+                   r"((?:\s*" + _NAME + r"(?:\s*\^(?:\s*" + _RAT + r")?)?)*)")
 
 
 def serialize(poly: GPoly) -> str:
@@ -57,84 +79,80 @@ def serialize(poly: GPoly) -> str:
     return text
 
 
-def _tokens(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected input {text[pos:pos+10]!r}", pos)
-            break
-        if m.group("rat") is not None:
-            out.append(("rat", m.group("rat"), pos))
-        elif m.group("name") is not None:
-            out.append(("name", m.group("name"), pos))
-        else:
-            out.append(("op", m.group("op"), pos))
-        pos = m.end()
-    return out
+def _fail(text: str, message: str, location=None):
+    """Raise ParseError, for text past the last token if there is any."""
+    end = _LEX.match(text).end()
+    if text[end:].strip():
+        raise ParseError(f"unexpected input {text[end:end + 10]!r}", end)
+    raise ParseError(message, location)
+
+
+def _next_token(text: str, pos: int):
+    """The position of the token after ``pos``, None at the end."""
+    return pos if text[pos:].strip() else None
+
+
+def _factor_error(units, text: str, start: int, end: int):
+    """Raise the error of the first malformed factor in text[start:end]."""
+    for f in _FACTOR.finditer(text, start, end):
+        name, caret, exp = f.groups()
+        if name not in units:
+            _fail(text, f"unknown generator {name!r}", f.start())
+        if caret and (exp is None or not exp.isdigit()):
+            _fail(text, "expected positive integer exponent",
+                  _next_token(text, f.end(2)))
+        if caret and int(exp) < 1:
+            _fail(text, "exponent must be >= 1", f.end(2))
 
 
 def parse(table, text: str) -> GPoly:
     """Parse canonical expression text into a canonical GPoly."""
-    toks = _tokens(text)
-    if not toks:
-        raise ParseError("empty expression")
-    raw = []
-    i = 0
-    n = len(toks)
-    first = True
-    while i < n:
-        sign = 1
-        if toks[i][0] == "op" and toks[i][1] in "+-":
-            if toks[i][1] == "-":
-                sign = -1
-            i += 1
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", toks[i][2])
-        first = False
-        if i >= n:
-            raise ParseError("dangling sign at end of expression")
-        kind, val, pos = toks[i]
-        if kind == "rat":
-            p, _, q = val.partition("/")
-            p, q = int(p) * sign, int(q or 1)
+    codec = table.codec
+    units = codec.unit_of_name
+    terms, overflow = [], None
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        sign, num, den, star, body = m.groups()
+        if pos and sign is None:  # after the first term
+            if text[pos:].strip():
+                _fail(text, "expected '+' or '-' between terms", pos)
+            break
+        if num is not None:
+            p, q = int(num), int(den or 1)
             if not q:
-                raise ParseError("zero denominator", pos)
-            i += 1
-            if i < n and toks[i][0] == "op" and toks[i][1] == "*":
-                i += 1
-                if i >= n or toks[i][0] != "name":
-                    raise ParseError("expected factor after '*'",
-                                     toks[i][2] if i < n else None)
-        elif kind == "name":
+                _fail(text, "zero denominator", m.end(1) if sign else pos)
+            if star and not body:
+                _fail(text, "expected factor after '*'", _next_token(text, m.end()))
+        elif body:
             # tolerated shorthand: bare factors mean coefficient 1
-            p, q = sign, 1
+            p, q = 1, 1
+        elif sign:
+            at = m.end()
+            if not text[at:].strip():
+                _fail(text, "dangling sign at end of expression")
+            _fail(text, f"unexpected token {text[at:].lstrip()[0]!r}", at)
+        elif text.strip():
+            _fail(text, f"unexpected token {text.lstrip()[0]!r}", 0)
         else:
-            raise ParseError(f"unexpected token {val!r}", pos)
+            _fail(text, "empty expression")
+        if sign == "-":
+            p = -p
         factors = []
-        while i < n and toks[i][0] == "name":
-            name = toks[i][1]
+        for name, caret, exp in _FACTOR.findall(body) if body else ():
+            unit = units.get(name)
+            if unit is None or caret and not (exp.isdigit() and int(exp)):
+                _factor_error(units, text, *m.span(5))
+            factors.append((unit, int(exp) if caret else 1))
+        if p and overflow is None:
             try:
-                gen = table.by_name(name)
-            except UnknownGenerator:
-                raise ParseError(f"unknown generator {name!r}", toks[i][2])
-            i += 1
-            exp = 1
-            if i < n and toks[i][0] == "op" and toks[i][1] == "^":
-                i += 1
-                if i >= n or toks[i][0] != "rat" or "/" in toks[i][1] \
-                        or toks[i][1].startswith("-"):
-                    raise ParseError("expected positive integer exponent",
-                                     toks[i][2] if i < n else None)
-                exp = int(toks[i][1])
-                if exp < 1:
-                    raise ParseError("exponent must be >= 1", toks[i][2])
-                i += 1
-            # normalize multiplies the factors out: an odd square vanishes
-            # and an exponent past the codec's cap overflows, so no more
-            # than CAP + 1 copies are needed
-            factors.extend([gen.gid] * min(exp, table.codec.CAP + 1))
-        raw.append((p, q, factors))
-    return _normalize(table, raw)
+                term = codec.product(factors)
+            except ExponentOverflow as exc:
+                overflow = exc
+            else:
+                if term is not None:
+                    terms.append((term[0], term[1] * p, q))
+        pos = m.end()
+    if overflow is not None:
+        raise overflow
+    return _sum_terms(table, terms)

@@ -14,13 +14,18 @@ constraint charge are derived once, at first use, and cached on it.
 
 The matrix series run on integers.  A series is (codec, entries, d): each
 entry split once by base degree, {degree: {monomial: int}}, over one
-positive denominator d for the whole matrix; products go through
-``gpoly.mul_into`` and multiply denominators.  With d the lcm of the
+positive denominator d for the whole matrix.  The entries of Phi use only
+the even base coordinates, so a product of two terms is one add of packed
+keys with a guard-bit check, and no sign; products multiply
+denominators.  With d the lcm of the
 denominators of Phi, N = Phi - I is scaled by d, so its m-th power has
 denominator d^m; the log sum_m (-1)^(m+1) N^m / m and the dual log
 (whose m-th term N^(m-1) B + D_(m-1) N has denominator d^(m-1) times
-that of B) are summed over the lcm of their terms' denominators.
-``Fraction`` comes back only where the log is paired with the basis.
+that of B) are summed over the lcm of their terms' denominators.  The
+pairing with the basis runs on integers too: the basis matrices over one
+denominator, their Gram matrix on ints, each pullback over one
+denominator, and the rank check on gradients evaluated at the sample
+point put over a common denominator.
 
 Conventions: the reference point of group-valued scenarios is the origin
 of the base coordinates; hamiltonian synthesis for classical scenarios
@@ -31,14 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
+from functools import cache, cached_property
 from math import lcm
 
 from .engine import _reached_solve, _shift_part
 from .errors import BfvError, NotNearIdentity, RankDeficient, ShapeMismatch
 from .generators import GeneratorTable, Kind
-from .gpoly import GPoly, bracket, mul_into
+from .gpoly import GPoly, bracket
 from .liedata import (BialgebraData, DglaData, LieAlgebraData,
                       ModuleActionData, QuasiBialgebraData)
 from .linalg import EchelonSolver, rank
@@ -64,9 +68,9 @@ class Scenario:
     truncation_order: int = 4
     degree_bound: int = 4
     assumptions: dict = field(default_factory=dict)
-    phi: list | None = None              # matrix of base-coordinate GPolys
-    basis_matrices: list | None = None   # rational matrices for <u^k, .>
-    sample_points: list = field(default_factory=list)
+    phi: tuple | None = None             # matrix of base-coordinate GPolys
+    basis_matrices: tuple | None = None  # rational matrices for <u^k, .>
+    sample_points: tuple = ()
     quasi_master_mode: str = "chi"       # "chi" or "ideal"
     name: str = "scenario"
 
@@ -79,9 +83,16 @@ class Scenario:
         return self.module.dim_h if self.module else 0
 
     def __post_init__(self):
-        """Store psi and J0 as tuples, as given, and check the shapes."""
+        """Store psi and J0 as tuples, and phi, the basis matrices and the
+        sample points as tuples of tuples, as given; check the shapes."""
         object.__setattr__(self, "psi", tuple(self.psi))
         object.__setattr__(self, "J0", tuple(self.J0))
+        if self.phi is not None:
+            object.__setattr__(self, "phi", tuple(map(tuple, self.phi)))
+        if self.basis_matrices is not None:
+            object.__setattr__(self, "basis_matrices", tuple(
+                tuple(map(tuple, m)) for m in self.basis_matrices))
+        object.__setattr__(self, "sample_points", tuple(map(tuple, self.sample_points)))
         if self.kind not in KINDS:
             raise ShapeMismatch(f"unknown scenario kind {self.kind!r}")
         if self.psi and len(self.psi) != self.dim_g:
@@ -96,6 +107,10 @@ class Scenario:
             for p in polys:
                 if not p.kinds_used() <= allowed:
                     raise ShapeMismatch(f"{name} must use base/fiber generators only")
+        for row in self.phi or ():
+            for p in row:
+                if not p.kinds_used() <= {Kind.BASE}:
+                    raise ShapeMismatch("phi must use base generators only")
         if self.pi and self.pi.degree_support() != [2]:
             raise ShapeMismatch("pi must be homogeneous of function degree 2")
         for p in self.psi:
@@ -324,32 +339,70 @@ def _integer_matrix(table, rows, order):
 
 def _log_argument(S: Scenario, order):
     """N = Phi - I as a series truncated at base degree ``order``."""
-    return _integer_matrix(S.table, [[P - 1 if i == j else P for j, P in enumerate(row)]
-                                     for i, row in enumerate(S.phi)], order)
+    codec, entries, d = _integer_matrix(S.table, S.phi, order)
+    for i, row in enumerate(entries):
+        const = row[i].setdefault(0, {})
+        if v := const.get(0, 0) - d:
+            const[0] = v
+        else:
+            del const[0]
+            if not const:
+                del row[i][0]
+    return codec, entries, d
+
+
+def _integer_basis(mats):
+    """(D, [U_l]): the basis matrices L_l = U_l / D over the lcm D of their
+    denominators."""
+    mats = [[[Fraction(v) for v in row] for row in m] for m in mats]
+    D = lcm(*(v.denominator for m in mats for row in m for v in row))
+    return D, [[[v.numerator * (D // v.denominator) for v in row] for row in m]
+               for m in mats]
 
 
 def mat_mul(A, B, order):
     """Product of square matrix series truncated at base degree ``order``.
 
-    Base generators are even, so base degrees add exactly: parts of degrees
-    d1, d2 are multiplied only when d1 + d2 <= ``order``, into part
-    d1 + d2, and the result equals the full product followed by
-    truncation.  Denominators multiply.
+    The entries are polynomials in even generators, so a product of two
+    terms is one key add, with no sign, and a guard-bit check.  Base
+    degrees add exactly: parts of degrees d1, d2 are multiplied only when
+    d1 + d2 <= ``order``, into part d1 + d2, and the result equals the full
+    product followed by truncation.  Denominators multiply.
     """
     codec, ea, da = A
     _, eb, db = B
+    guard = codec.guard
+    cols = list(zip(*eb))
     out = []
     for arow in ea:
         row = []
-        for j in range(len(eb)):
+        for col in cols:
             parts = {}
-            for a, brow in zip(arow, eb):
-                for (d1, s), (d2, t) in product(a.items(), brow[j].items()):
-                    if d1 + d2 <= order:
-                        mul_into(codec, parts.setdefault(d1 + d2, {}), s, t)
-            row.append({g: part for g, part in parts.items() if part})
+            for a, b in zip(arow, col):
+                for d1, s in a.items():
+                    for d2, t in b.items():
+                        if d1 + d2 > order:
+                            continue
+                        acc = parts.setdefault(d1 + d2, {})
+                        get = acc.get
+                        for k1, c1 in s.items():
+                            for k2, c2 in t.items():
+                                k = k1 + k2
+                                if k & guard:
+                                    raise codec.overflow(k)
+                                acc[k] = get(k, 0) + c1 * c2
+            row.append(_nonzero(parts))
         out.append(row)
     return codec, out, da * db
+
+
+def _nonzero(parts):
+    """The parts {degree: {monomial: int}} without zero terms or parts."""
+    out = {}
+    for g, part in parts.items():
+        if part := {k: v for k, v in part.items() if v}:
+            out[g] = part
+    return out
 
 
 def _mat_sum(terms):
@@ -364,9 +417,11 @@ def _mat_sum(terms):
         for orow, row in zip(out, e):
             for acc, entry in zip(orow, row):
                 for g, part in entry.items():
-                    mul_into(codec, acc.setdefault(g, {}), {0: 1}, part, s)
-    return codec, [[{g: p for g, p in acc.items() if p} for acc in row]
-                   for row in out], L
+                    a = acc.setdefault(g, {})
+                    get = a.get
+                    for k, c in part.items():
+                        a[k] = get(k, 0) + c * s
+    return codec, [[_nonzero(acc) for acc in row] for row in out], L
 
 
 def _powers(N, order):
@@ -402,47 +457,72 @@ def _dual_log(powers, B, order):
     return terms
 
 
-def _rational_matrix(rows):
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
-def _gram_inverse(mats):
-    """Inverse Gram matrix of tr(L_k L_l); raises RankDeficient if singular."""
-    n = len(mats)
-    gram = [[sum(mats[k][a][b] * mats[l][b][a]
-                 for a in range(len(mats[k])) for b in range(len(mats[k])))
-             for l in range(n)] for k in range(n)]
-    es = EchelonSolver()
-    for j in range(n):
-        es.add_column(j, {i: gram[i][j] for i in range(n) if gram[i][j]})
-    inv = []
-    for k in range(n):
-        sol = es.solve({k: Fraction(1)})
-        if sol is None:
-            raise RankDeficient("trace form of the basis matrices is degenerate")
-        inv.append([sol.get(j, Fraction(0)) for j in range(n)])
-    return inv
-
-
 def _pair_with_basis(S: Scenario, M) -> list:
-    """<u^k, M> for a polynomial matrix M, via the trace-form dual basis."""
-    mats = [_rational_matrix(m) for m in S.basis_matrices]
-    ginv = _gram_inverse(mats)
-    dim = len(mats[0])
+    """<u^k, M> for a matrix series M = E / d, via the trace-form dual basis.
+
+    With the basis matrices L_l = U_l / D on integers, the Gram matrix
+    tr(L_k L_l) is G / D^2 for the integer G = tr(U_k U_l), so
+    <u^k, M> = sum_l (G^-1)_kl tr(L_l M) = D sum_l (G^-1)_kl tr(U_l E) / d:
+    one integer term dict per trace and one denominator per f_k.  Raises
+    RankDeficient if the trace form is degenerate.
+    """
+    _codec, entries, d = M
+    D, mats = _integer_basis(S.basis_matrices)
+    n, dim = len(mats), len(mats[0])
+    es = EchelonSolver()
+    for l in range(n):
+        es.add_column(l, {k: g for k in range(n)
+                          if (g := sum(mats[k][a][b] * mats[l][b][a]
+                                       for a in range(dim) for b in range(dim)))})
+    traces = []
+    for U in mats:
+        tr = {}
+        for a, row in enumerate(U):
+            for b, u in enumerate(row):
+                if u:
+                    for part in entries[b][a].values():
+                        for m, c in part.items():
+                            tr[m] = tr.get(m, 0) + u * c
+        traces.append(tr)
     out = []
-    for k in range(len(mats)):
-        acc = GPoly.zero(S.table)
-        for l in range(len(mats)):
-            coeff = ginv[k][l]
-            if not coeff:
-                continue
-            tr = GPoly.zero(S.table)
-            for a in range(dim):
-                for b in range(dim):
-                    if mats[l][a][b]:
-                        tr = tr + mats[l][a][b] * M[b][a]
-            acc = acc + coeff * tr
-        out.append(acc)
+    for k in range(n):
+        pair = es.solve_pair({k: 1})
+        if pair is None:
+            raise RankDeficient("trace form of the basis matrices is degenerate")
+        combo, scale = pair
+        acc = {}
+        for l, c in combo.items():
+            for m, v in traces[l].items():
+                acc[m] = acc.get(m, 0) + c * v
+        out.append(GPoly._make(S.table, {m: D * v for m, v in acc.items() if v},
+                               scale * d))
+    return out
+
+
+def _gradient_columns(S: Scenario, fks, point) -> dict:
+    """{k: {coordinate: q^order f_k.den * df_k/dx(point)}}: the gradients at
+    ``point`` = P / q, on integers, each column scaled by a positive
+    constant, which keeps the rank.  A derivative term of base degree g <=
+    order - 1 is worth its numerator times P^e q^(order - g)."""
+    codec, order = S.table.codec, S.truncation_order
+    base_ids = S.table.ids_of_kind(Kind.BASE)
+    point = [Fraction(v) for v in point]
+    q = lcm(*(v.denominator for v in point))
+    at = {gid: v.numerator * (q // v.denominator) for gid, v in zip(base_ids, point)}
+
+    @cache
+    def value(m):
+        evens, _odds = codec.unpack(m)
+        v = q ** (order - sum(e for _g, e in evens))
+        for g, e in evens:
+            v *= at[g] ** e
+        return v
+
+    out = {}
+    for k, f in enumerate(fks):
+        partials = f.partials("left")
+        out[k] = {col: v for col, gid in enumerate(base_ids)
+                  if (v := sum(c * value(m) for m, c in partials.get(gid, {}).items()))}
     return out
 
 
@@ -463,19 +543,10 @@ def group_log_constraints(S: Scenario) -> list:
             if 0 in entry:
                 raise NotNearIdentity(
                     f"phi[{i}][{j}] differs from identity at the origin")
-    _, entries, d = _log(_powers(N, order))
-    fks = _pair_with_basis(S, [[GPoly._make(table, {m: c for part in e.values()
-                                                    for m, c in part.items()}, d)
-                                for e in row] for row in entries])
-
+    fks = _pair_with_basis(S, _log(_powers(N, order)))
     base_ids = table.ids_of_kind(Kind.BASE)
-    points = S.sample_points or [tuple(Fraction(0) for _ in base_ids)]
-    for pt in points:
-        point = {gid: Fraction(v) for gid, v in zip(base_ids, pt)}
-        grads = {k: {col: val.const_value() for col, gid in enumerate(base_ids)
-                     if (val := f.deriv(gid).eval_base(point))}
-                 for k, f in enumerate(fks)}
-        r = rank(grads)
+    for pt in S.sample_points or [tuple(Fraction(0) for _ in base_ids)]:
+        r = rank(_gradient_columns(S, fks, pt))
         if r != len(fks):
             raise RankDeficient(
                 f"constraint differentials have rank {r} < {len(fks)}"
@@ -502,9 +573,9 @@ def bch_transport_check(S: Scenario, order: int) -> ValidationReport:
     powers = _powers(N, order)
     nmat = _log(powers)
     bad = set()
-    for u in S.basis_matrices:
-        um = _integer_matrix(table, [[GPoly.const(table, v) for v in row] for row in u],
-                             order)
+    D, mats = _integer_basis(S.basis_matrices)
+    for U in mats:
+        um = (table.codec, [[{0: {0: v}} if v else {} for v in row] for row in U], D)
         # Phi u - u Phi = N u - u N, and the dual part of the log is linear
         # in B: one series for left - right
         B = _mat_sum([(1, mat_mul(N, um, order)), (-1, mat_mul(um, N, order))])

@@ -408,6 +408,10 @@ def widen_phi(doc):
     doc["phi"] = [row + ["1 * x1"] for row in doc["phi"]]
 
 
+def append_to_phi(doc, text):
+    doc["phi"][0][1] += text
+
+
 def shrink_basis_matrix(doc):
     doc["basis_matrices"][1] = [row[:2] for row in doc["basis_matrices"][1][:2]]
 
@@ -420,8 +424,15 @@ def shrink_basis_matrix(doc):
     # bch died of a TypeError (exit 1), validate of a ShapeMismatch (exit 1)
     (lambda doc: doc.pop("phi"), "phi", "required for group_valued scenarios"),
     (lambda doc: doc.pop("basis_matrices"), "basis_matrices",
-     "required for group_valued scenarios")],
-    ids=["phi-3x4", "phi-2x3", "basis-matrix-2x2", "no-phi", "no-basis-matrices"])
+     "required for group_valued scenarios"),
+    # validate said NotNearIdentity (exit 1); every command died with
+    # "ValueError: polynomial is not constant" and a traceback
+    (lambda doc: append_to_phi(doc, " + 1 * e1"), "phi[0][1]",
+     "must use base generators only"),
+    (lambda doc: append_to_phi(doc, " + 1 * x1 e2 e3"), "phi[0][1]",
+     "must use base generators only")],
+    ids=["phi-3x4", "phi-2x3", "basis-matrix-2x2", "no-phi", "no-basis-matrices",
+         "phi-fiber", "phi-mixed"])
 @pytest.mark.parametrize("argv", [["validate"], ["bch", "--order", "3"]])
 def test_group_valued_matrix_shapes_are_schema_errors(tmp_path, capsys, change,
                                                       key, message, argv):

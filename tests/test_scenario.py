@@ -350,6 +350,28 @@ def test_shape_mismatch_inhomogeneous_pi(abelian_translation):
         replace(S, pi=parse(S.table, "1 * e1 e2 + 1 * x1"))
 
 
+@pytest.mark.parametrize("extra", [" + 1 * e1", " + 1 * x1 e2 e3", " + 1 * b1"])
+def test_shape_mismatch_phi_outside_the_base(group_valued_so3, extra):
+    # the matrix series multiply packed keys with no sign, so a copy with a
+    # non-base phi entry must not reach them
+    S = group_valued_so3
+    phi = [list(row) for row in S.phi]
+    phi[0][1] = parse(S.table, serialize(phi[0][1]) + extra)
+    with pytest.raises(ShapeMismatch, match="phi must use base generators only"):
+        replace(S, phi=phi)
+
+
+def test_group_valued_matrices_are_tuples(group_valued_so3):
+    S = group_valued_so3
+    for value, depth in ((S.phi, 2), (S.basis_matrices, 3), (S.sample_points, 2)):
+        items = [value]
+        for _ in range(depth):
+            assert all(type(v) is tuple for v in items)
+            items = [w for v in items for w in v]
+    assert S.sample_points == ((0, 0, 0), (Fraction(1, 8), Fraction(-1, 8),
+                                           Fraction(1, 16)))
+
+
 def test_scenario_is_frozen(so3_classical):
     S = so3_classical
     with pytest.raises(FrozenInstanceError):

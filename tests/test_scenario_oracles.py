@@ -7,7 +7,9 @@ that stay within the truncation order.  Both are compared here with the
 straightforward versions they replace, kept below as copies: a one-shot
 ``BlockEchelon`` solve over every column ``mono * g`` at the full bound,
 and ``Fraction`` matrices of ``GPoly`` multiplied in full and truncated
-afterwards.
+afterwards.  The reference pairing with the basis builds its own dual
+basis, inverting the ``Fraction`` trace-form Gram matrix with sympy.  The
+series take polynomials in even generators, as the entries of Phi are.
 """
 
 import copy
@@ -16,6 +18,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,10 +31,9 @@ from bfvkit.grammar import parse
 from bfvkit.linalg import BlockEchelon, EchelonSolver
 from bfvkit.presets import load_preset
 from bfvkit.reports import ValidationReport
-from bfvkit.scenario import (_dual_log, _integer_matrix, _log, _mat_sum,
-                             _pair_with_basis, _powers, _rational_matrix,
-                             bch_transport_check, group_log_constraints,
-                             ideal_membership, mat_mul)
+from bfvkit.scenario import (_dual_log, _gradient_columns, _integer_matrix,
+                             _log, _mat_sum, _powers, bch_transport_check,
+                             group_log_constraints, ideal_membership, mat_mul)
 from conftest import brute_force_monomials
 
 # -- reference implementations -------------------------------------------
@@ -139,6 +141,31 @@ def ref_dual_log(P, order):
     return acc
 
 
+def rational_matrix(rows):
+    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+
+
+def ref_pair_with_basis(S, M):
+    """<u^k, M> for a matrix M of GPolys: the trace-form Gram matrix
+    tr(L_k L_l) on Fractions, inverted by sympy, paired with M."""
+    mats = [rational_matrix(m) for m in S.basis_matrices]
+    n, dim = len(mats), len(mats[0])
+    gram = sympy.Matrix(n, n, lambda k, l: sympy.Rational(str(sum(
+        mats[k][a][b] * mats[l][b][a] for a in range(dim) for b in range(dim)))))
+    if gram.det() == 0:
+        raise RankDeficient("trace form of the basis matrices is degenerate")
+    ginv = [[Fraction(str(gram.inv()[k, l])) for l in range(n)] for k in range(n)]
+    out = []
+    for k in range(n):
+        acc = GPoly.zero(S.table)
+        for l in range(n):
+            for a in range(dim):
+                for b in range(dim):
+                    acc = acc + ginv[k][l] * mats[l][a][b] * M[b][a]
+        out.append(acc)
+    return out
+
+
 def ref_group_log_constraints(S):
     order = S.truncation_order
     dim = len(S.phi)
@@ -151,7 +178,7 @@ def ref_group_log_constraints(S):
                 raise NotNearIdentity(
                     f"phi[{i}][{j}] differs from identity at the origin")
     logphi = ref_mat_log(mat_truncate(N, order), order)
-    fks = [f.base_truncate(order) for f in _pair_with_basis(S, logphi)]
+    fks = [f.base_truncate(order) for f in ref_pair_with_basis(S, logphi)]
     base_ids = table.ids_of_kind(Kind.BASE)
     points = S.sample_points or [tuple(Fraction(0) for _ in base_ids)]
     for pt in points:
@@ -175,7 +202,7 @@ def ref_bch_transport_check(S, order):
         raise ShapeMismatch("bch_transport_check requires a group_valued scenario")
     table = S.table
     dim = len(S.phi)
-    mats = [_rational_matrix(m) for m in S.basis_matrices]
+    mats = [rational_matrix(m) for m in S.basis_matrices]
     phi = mat_truncate(tuple(tuple(r) for r in S.phi), order)
     nmat = ref_mat_log(mat_add(phi, mat_identity(table, dim), -1), order)
 
@@ -304,12 +331,14 @@ SERIES_TABLE = bfv1_table(2, 1, 1)
 
 @st.composite
 def series_entries(draw):
+    """Polynomials in the even generators: the base coordinates, which the
+    truncation counts, and the antighost b1, which it does not."""
     x = SERIES_TABLE.ids_of_kind(Kind.BASE)
-    e = SERIES_TABLE.ids_of_kind(Kind.FIBER)
+    b = SERIES_TABLE.ids_of_kind(Kind.ANTIGHOST_G)
     raw = []
     for _ in range(draw(st.integers(0, 3))):
         factors = [x[0]] * draw(st.integers(0, 3)) + [x[1]] * draw(st.integers(0, 3))
-        factors += [g for g in e if draw(st.booleans())]
+        factors += b * draw(st.integers(0, 2))
         raw.append((draw(coefficients), factors))
     return normalize(SERIES_TABLE, raw)
 
@@ -379,6 +408,43 @@ def test_group_valued_series_match_full_products(order):
     ref_S.constraints
     assert (bch_transport_check(S, order).checks
             == ref_bch_transport_check(ref_S, order).checks)
+
+
+def test_rational_basis_matches_reference():
+    # basis matrices k/2 L_k and an integer sample point: the pairing scales
+    # the basis to integers by one denominator, and the rank check puts
+    # the point over its own
+    S0 = parse_scenario(load_preset("group-valued-so3"))
+    scales = [Fraction(k + 1, 2) for k in range(3)]
+    mats = [[[v * s for v in row] for row in m]
+            for s, m in zip(scales, S0.basis_matrices)]
+    S = replace(S0, basis_matrices=mats, sample_points=[(1, Fraction(-1, 3), 2)])
+    ref_S = copy.deepcopy(S)
+    fks = group_log_constraints(S)
+    assert fks == ref_group_log_constraints(ref_S)
+    # the dual basis of s_k L_k is u^k / s_k
+    assert fks == [f * (1 / s) for f, s in zip(group_log_constraints(S0), scales)]
+    assert (bch_transport_check(S, 3).checks
+            == ref_bch_transport_check(ref_S, 3).checks)
+
+
+@pytest.mark.parametrize("point", [(0, 0, 0), (Fraction(1, 8), Fraction(-1, 8),
+                                               Fraction(1, 16)),
+                                   (2, Fraction(-3, 5), Fraction(7, 4))])
+def test_gradient_columns_are_scaled_gradients(point):
+    # each column is the exact gradient at the point times a positive scale
+    S = parse_scenario(load_preset("group-valued-so3"))
+    fks = group_log_constraints(S)
+    base = S.table.ids_of_kind(Kind.BASE)
+    got = _gradient_columns(S, fks, point)
+    for k, f in enumerate(fks):
+        exact = [f.deriv(g).eval_base(dict(zip(base, map(Fraction, point))))
+                 .const_value() for g in base]
+        col = [Fraction(got[k].get(i, 0)) for i in range(len(base))]
+        pivot = next(i for i, v in enumerate(exact) if v)
+        scale = col[pivot] / exact[pivot]
+        assert scale > 0
+        assert col == [scale * v for v in exact]
 
 
 def test_bch_reports_a_failing_transport():
