@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from math import gcd
+from typing import NoReturn
 
 from .errors import ExponentOverflow, ParseError
 from .gpoly import GPoly, _sum_terms
@@ -79,7 +80,7 @@ def serialize(poly: GPoly) -> str:
     return text
 
 
-def _fail(text: str, message: str, location=None):
+def _fail(text: str, message: str, location=None) -> NoReturn:
     """Raise ParseError, for text past the last token if there is any."""
     end = _LEX.match(text).end()
     if text[end:].strip():

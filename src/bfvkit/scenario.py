@@ -339,16 +339,8 @@ def _integer_matrix(table, rows, order):
 
 def _log_argument(S: Scenario, order):
     """N = Phi - I as a series truncated at base degree ``order``."""
-    codec, entries, d = _integer_matrix(S.table, S.phi, order)
-    for i, row in enumerate(entries):
-        const = row[i].setdefault(0, {})
-        if v := const.get(0, 0) - d:
-            const[0] = v
-        else:
-            del const[0]
-            if not const:
-                del row[i][0]
-    return codec, entries, d
+    return _integer_matrix(S.table, [[P - 1 if i == j else P for j, P in enumerate(row)]
+                                     for i, row in enumerate(S.phi)], order)
 
 
 def _integer_basis(mats):
