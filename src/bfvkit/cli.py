@@ -1,14 +1,17 @@
 """Command line interface: scenario checks and charge computations.
 
 Commands operate on one scenario document (a bundled preset name or a JSON
-file path) and print a deterministic report.  ``--format machine`` emits
-one ``key=value`` line per item using the canonical expression grammar and
-is byte-identical across runs; text format adds no wall-clock data to
-stdout either (timing goes to stderr).
+file path) and print a deterministic report: the command's ``key=value``
+lines in the canonical expression grammar, then its checks.  A command
+only collects values and one :class:`~bfvkit.reports.ValidationReport`;
+``reports.py`` owns the check statuses, their rendering and the exit code.
+``--format machine`` is byte-identical across runs; text format adds no
+wall-clock data to stdout either (timing goes to stderr).
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage or parse error
-(a document file that cannot be read, malformed JSON, a malformed
-expression), 3 a bounded solve was inconclusive (NotFound).
+Exit codes: 0 all checks passed, 1 a check failed, 3 a check or a bounded
+solve was inconclusive (undecided, or NotFound), with a failure taking
+precedence over an undecided check; 2 usage or parse error (a document
+file that cannot be read, malformed JSON, a malformed expression).
 """
 
 from __future__ import annotations
@@ -31,52 +34,12 @@ from .homotopy import BracketTower, h0_probe, jacobi_residuals
 from .liedata import validate_bialgebra, validate_dgla, validate_lie, \
     validate_module, validate_quasi
 from .presets import PRESET_NAMES, load_preset
-from .reports import FAIL, PASS, UNDECIDED, ValidationReport
+from .reports import ValidationReport
 from .scenario import bch_transport_check, check_compatibility, \
     check_equivariance
 
 COMMANDS = ("validate", "charge", "master", "lift", "extend", "brackets",
             "jacobi", "probe-h0", "bch")
-
-
-class Emitter:
-    def __init__(self, fmt):
-        self.fmt = fmt
-        self.lines = []
-        self.failed = False
-        self.undecided = False
-
-    def value(self, key, val):
-        self.lines.append(f"{key}={val}")
-
-    def check(self, name, status, detail=""):
-        if status == FAIL:
-            self.failed = True
-        elif status == UNDECIDED:
-            self.undecided = True
-        if self.fmt == "machine":
-            # a failure keeps its detail (the failing index), as in
-            # ValidationReport.lines(), so repeated failures stay distinct
-            suffix = f" {detail}" if status == FAIL and detail else ""
-            self.lines.append(f"check.{name}={status}{suffix}")
-        else:
-            suffix = f"  [{detail}]" if detail else ""
-            self.lines.append(f"check {name}: {status}{suffix}")
-
-    def report(self, rep: ValidationReport):
-        for c in rep.checks:
-            self.check(f"{rep.title}.{c.name}", c.status, c.detail)
-
-    def flush(self):
-        sys.stdout.write("\n".join(self.lines) + ("\n" if self.lines else ""))
-
-    @property
-    def exit_code(self):
-        if self.failed:
-            return 1
-        if self.undecided:
-            return 3
-        return 0
 
 
 def _load_scenario(arg: str):
@@ -111,26 +74,25 @@ def _lagrangian_generators(scenario):
 
 def run(command: str, args) -> int:
     doc, scenario = _load_scenario(args.scenario)
-    em = Emitter(args.format)
-    em.value("command", command)
-    em.value("scenario", scenario.name)
-    em.value("digest", scenario_digest(doc))
+    values = {"command": command, "scenario": scenario.name,
+              "digest": scenario_digest(doc)}
+    report = ValidationReport("check")
     labels = doc.get("generators") or {}
     if labels and args.format == "text":
-        em.value("labels", " ".join(f"{k}={v}" for k, v in sorted(labels.items())))
+        values["labels"] = " ".join(f"{k}={v}" for k, v in sorted(labels.items()))
 
     if command == "validate":
-        em.report(validate_lie(scenario.lie))
+        report.merge(validate_lie(scenario.lie))
         if scenario.module is not None:
-            em.report(validate_module(scenario.lie, scenario.module))
+            report.merge(validate_module(scenario.lie, scenario.module))
         if scenario.dgla is not None:
-            em.report(validate_dgla(scenario.lie, scenario.module, scenario.dgla))
+            report.merge(validate_dgla(scenario.lie, scenario.module, scenario.dgla))
         if scenario.bialgebra is not None:
-            em.report(validate_bialgebra(scenario.lie, scenario.bialgebra))
+            report.merge(validate_bialgebra(scenario.lie, scenario.bialgebra))
         if scenario.quasi is not None:
-            em.report(validate_quasi(scenario.lie, scenario.quasi))
-        em.report(check_equivariance(scenario))
-        em.report(check_compatibility(scenario))
+            report.merge(validate_quasi(scenario.lie, scenario.quasi))
+        report.merge(check_equivariance(scenario))
+        report.merge(check_compatibility(scenario))
 
     elif command == "charge":
         if args.bfv0:
@@ -138,9 +100,9 @@ def run(command: str, args) -> int:
             Q = build_charge_deg0(scenario.lie, J, table)
         else:
             Q = build_charge_deg1(scenario)
-        em.value("charge", serialize(Q))
+        values["charge"] = serialize(Q)
         grades = sorted(Q.grade_components())
-        em.value("charge.grades", ";".join(f"({g},{d})" for g, d in grades))
+        values["charge.grades"] = ";".join(f"({g},{d})" for g, d in grades)
 
     elif command == "master":
         if args.bfv0:
@@ -149,36 +111,35 @@ def run(command: str, args) -> int:
         else:
             Q = build_charge_deg1(scenario)
         res = master_residual(Q)
-        em.value("residual", serialize(res))
-        em.check("master-equation", PASS if not res else FAIL)
+        values["residual"] = serialize(res)
+        report.record("master-equation", not res)
 
     elif command == "lift":
         Q = build_charge_deg1(scenario)
         Pi = cocycle_lift(scenario, Q, args.ansatz_degree)
-        em.value("pi", serialize(scenario.pi))
-        em.value("lift", serialize(Pi))
-        em.check("lift-closed", PASS if not bracket(Q, Pi) else FAIL)
+        values["pi"] = serialize(scenario.pi)
+        values["lift"] = serialize(Pi)
+        report.record("lift-closed", not bracket(Q, Pi))
 
     elif command == "extend":
         series = _series(scenario, args.kmax, args.ansatz_degree)
         for k, term in enumerate(series.terms):
-            em.value(f"series.{-k}", serialize(term))
-        em.value("exact", "true" if series.exact else "false")
-        em.value("residual.bound",
-                 "none" if series.residual_bound is None
-                 else str(series.residual_bound))
-        em.value("residual", serialize(series.residual))
+            values[f"series.{-k}"] = serialize(term)
+        values["exact"] = "true" if series.exact else "false"
+        values["residual.bound"] = ("none" if series.residual_bound is None
+                                    else str(series.residual_bound))
+        values["residual"] = serialize(series.residual)
 
     elif command == "brackets":
         series = _series(scenario, args.kmax, args.ansatz_degree)
         tower = BracketTower(series)
         names, gens = zip(*_lagrangian_generators(scenario))
         for name, g in zip(names, gens):
-            em.value(f"ell1.{name}", serialize(tower.ell1(g)))
+            values[f"ell1.{name}"] = serialize(tower.ell1(g))
         for name1, row in zip(names, tower.ell2_table(gens, gens)):
             for name2, val in zip(names, row):
                 if val:
-                    em.value(f"ell2.{name1}.{name2}", serialize(val))
+                    values[f"ell2.{name1}.{name2}"] = serialize(val)
 
     elif command == "jacobi":
         series = _series(scenario, args.kmax, args.ansatz_degree)
@@ -188,37 +149,40 @@ def run(command: str, args) -> int:
         residuals = jacobi_residuals(
             tower, [GPoly.gen(scenario.table, g) for g in base])
         for (i, j, k), r in residuals.items():
-            em.value(f"jacobi.{names[i]}.{names[j]}.{names[k]}", serialize(r))
-        em.check("homotopy-jacobi", FAIL if any(residuals.values()) else PASS)
+            values[f"jacobi.{names[i]}.{names[j]}.{names[k]}"] = serialize(r)
+        report.record("homotopy-jacobi", not any(residuals.values()))
 
     elif command == "probe-h0":
         series = _series(scenario, args.kmax, args.ansatz_degree)
         tower = BracketTower(series)
         rep = h0_probe(scenario, tower, args.degree)
-        em.value("probe.degree", str(args.degree))
-        em.value("probe.dim.space", str(rep.dim_space))
-        em.value("probe.dim.kernel", str(rep.dim_kernel))
-        em.value("probe.dim.image", str(rep.dim_image))
-        em.value("probe.dim.h0", str(rep.dim_h0))
+        values["probe.degree"] = str(args.degree)
+        values["probe.dim.space"] = str(rep.dim_space)
+        values["probe.dim.kernel"] = str(rep.dim_kernel)
+        values["probe.dim.image"] = str(rep.dim_image)
+        values["probe.dim.h0"] = str(rep.dim_h0)
         for i, (r, p) in enumerate(zip(rep.representatives, rep.projections)):
-            em.value(f"probe.rep.{i}", serialize(r))
-            em.value(f"probe.proj00.{i}", serialize(p))
+            values[f"probe.rep.{i}"] = serialize(r)
+            values[f"probe.proj00.{i}"] = serialize(p)
         for (i, j), coeffs in sorted(rep.table.items()):
             body = " + ".join(f"{c} [{k}]" for k, c in sorted(coeffs.items())) or "0"
-            em.value(f"probe.ell2.{i}.{j}", body)
+            values[f"probe.ell2.{i}.{j}"] = body
         for (i, j) in rep.inconclusive:
-            em.check(f"probe.closure.{i}.{j}", UNDECIDED, "beyond degree bound")
-        em.check("probe.closure", PASS if rep.closure_ok else UNDECIDED,
-                 "" if rep.closure_ok else "entries beyond the degree bound")
+            report.record_undecided(f"probe.closure.{i}.{j}", "beyond degree bound")
+        if rep.closure_ok:
+            report.record("probe.closure", True)
+        else:
+            report.record_undecided("probe.closure", "entries beyond the degree bound")
 
     elif command == "bch":
-        em.report(bch_transport_check(scenario, args.order))
+        report.merge(bch_transport_check(scenario, args.order))
 
     else:  # pragma: no cover
         raise ValueError(command)
 
-    em.flush()
-    return em.exit_code
+    lines = [f"{k}={v}" for k, v in values.items()] + list(report.lines(args.format))
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return report.exit_code
 
 
 def non_negative_int(text: str) -> int:

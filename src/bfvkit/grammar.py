@@ -38,8 +38,8 @@ from .gpoly import GPoly, _sum_terms
 
 # The tokens: a rational, a generator name, an operator.  A '-' followed
 # by a digit starts a rational.  Every token in a pattern below carries the
-# whitespace before it, so a group ends where its last token ends, and a
-# token's position is where the token before it ends.
+# whitespace before it, so a group ends where its last token ends; an error
+# is reported where the offending token starts, past that whitespace.
 _RAT = r"-?\d+(?:/\d+)?"
 _NAME = r"[A-Za-z]\d+"
 _LEX = re.compile(r"(?:\s*(?:" + _RAT + "|" + _NAME + r"|[*^+-]))*")
@@ -84,13 +84,15 @@ def _fail(text: str, message: str, location=None) -> NoReturn:
     """Raise ParseError, for text past the last token if there is any."""
     end = _LEX.match(text).end()
     if text[end:].strip():
-        raise ParseError(f"unexpected input {text[end:end + 10]!r}", end)
+        raise ParseError(f"unexpected input {text[end:end + 10]!r}",
+                         _next_token(text, end))
     raise ParseError(message, location)
 
 
 def _next_token(text: str, pos: int):
-    """The position of the token after ``pos``, None at the end."""
-    return pos if text[pos:].strip() else None
+    """Where the first token at or after ``pos`` starts, None at the end."""
+    rest = text[pos:].lstrip()
+    return len(text) - len(rest) if rest else None
 
 
 def _factor_error(units, text: str, start: int, end: int):
@@ -98,12 +100,12 @@ def _factor_error(units, text: str, start: int, end: int):
     for f in _FACTOR.finditer(text, start, end):
         name, caret, exp = f.groups()
         if name not in units:
-            _fail(text, f"unknown generator {name!r}", f.start())
+            _fail(text, f"unknown generator {name!r}", f.start(1))
         if caret and (exp is None or not exp.isdigit()):
             _fail(text, "expected positive integer exponent",
                   _next_token(text, f.end(2)))
         if caret and int(exp) < 1:
-            _fail(text, "exponent must be >= 1", f.end(2))
+            _fail(text, "exponent must be >= 1", f.start(3))
 
 
 def parse(table, text: str) -> GPoly:
@@ -117,24 +119,23 @@ def parse(table, text: str) -> GPoly:
         sign, num, den, star, body = m.groups()
         if pos and sign is None:  # after the first term
             if text[pos:].strip():
-                _fail(text, "expected '+' or '-' between terms", pos)
+                _fail(text, "expected '+' or '-' between terms",
+                      _next_token(text, pos))
             break
         if num is not None:
             p, q = int(num), int(den or 1)
             if not q:
-                _fail(text, "zero denominator", m.end(1) if sign else pos)
+                _fail(text, "zero denominator", m.start(2))
             if star and not body:
                 _fail(text, "expected factor after '*'", _next_token(text, m.end()))
         elif body:
             # tolerated shorthand: bare factors mean coefficient 1
             p, q = 1, 1
-        elif sign:
-            at = m.end()
-            if not text[at:].strip():
+        elif sign or text.strip():
+            at = _next_token(text, m.end())
+            if at is None:
                 _fail(text, "dangling sign at end of expression")
-            _fail(text, f"unexpected token {text[at:].lstrip()[0]!r}", at)
-        elif text.strip():
-            _fail(text, f"unexpected token {text.lstrip()[0]!r}", 0)
+            _fail(text, f"unexpected token {text[at]!r}", at)
         else:
             _fail(text, "empty expression")
         if sign == "-":

@@ -269,8 +269,11 @@ class ProbeReport:
         self.representatives = []       # GPolys
         self.projections = []           # (0,0)-components of representatives
         self.table = {}                 # (i, j) -> dict of rep coefficients
-        self.closure_ok = True
         self.inconclusive = []          # (i, j) pairs beyond the bound
+
+    @property
+    def closure_ok(self):
+        return not self.inconclusive
 
     @property
     def dim_h0(self):
@@ -388,7 +391,6 @@ def h0_probe(scenario, tower: BracketTower, degree_bound: int) -> ProbeReport:
             sol = img.solve(dict(zip(keys, val.num.values())), val.den) \
                 if min(keys, default=0) >= 0 else None
             if sol is None:
-                rep.closure_ok = False
                 rep.inconclusive.append((i, j))
             else:
                 rep.table[(i, j)] = sol

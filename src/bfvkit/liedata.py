@@ -116,9 +116,9 @@ def _inside(idx, *dims) -> bool:
 def _index_range(rep: ValidationReport, entries, *dims) -> bool:
     """Record an ``index-range`` failure for each entry index beyond
     ``dims``; True when there is none."""
-    bad = [idx for idx in entries if not _inside(idx, *dims)]
-    for idx in bad:
-        rep.record("index-range", False, "(" + ",".join(map(str, idx)) + ")")
+    bad = ["(" + ",".join(map(str, idx)) + ")" for idx in entries
+           if not _inside(idx, *dims)]
+    rep.record_each("index-range", bad, ok=False)
     return not bad
 
 
@@ -163,33 +163,18 @@ def jacobiator(T: dict, x, y, z) -> dict:
     return {t: v for t, v in sorted(out.items()) if v}
 
 
-def _report(rep: ValidationReport, name: str, failures, ok: bool = True):
-    """Record each failure detail, or one pass when there is none and ``ok``."""
-    for detail in failures:
-        rep.record(name, False, detail)
-        ok = False
-    if ok:
-        rep.record(name, True)
-
-
 def validate_lie(L: LieAlgebraData) -> ValidationReport:
     rep = ValidationReport("lie")
     n = L.dim
-    anti_ok = True
-    for (i, j, k), v in L.c.items():
-        if not _inside((i, j, k), n, n, n):
-            rep.record("index-range", False, f"({i},{j},{k})")
-            anti_ok = False
-            continue
-        if L.C(j, i, k) != -v:
-            rep.record("antisymmetry", False, f"({i},{j},{k})")
-            anti_ok = False
-    if anti_ok:
-        rep.record("antisymmetry", True)
+    # an out-of-range entry is reported where it stands, among the others
+    rep.record_each("antisymmetry", (
+        ("antisymmetry" if _inside((i, j, k), n, n, n) else "index-range",
+         f"({i},{j},{k})") for (i, j, k), v in L.c.items()
+        if not _inside((i, j, k), n, n, n) or L.C(j, i, k) != -v))
     T = bracket_table(L)
-    _report(rep, "jacobi", (f"({i},{j},{k};{l}) -> {s}"
-                            for i, j, k in product(range(1, n + 1), repeat=3)
-                            for l, s in jacobiator(T, i, j, k).items()))
+    rep.record_each("jacobi", (f"({i},{j},{k};{l}) -> {s}"
+                               for i, j, k in product(range(1, n + 1), repeat=3)
+                               for l, s in jacobiator(T, i, j, k).items()))
     return rep
 
 
@@ -200,27 +185,21 @@ def validate_module(L: LieAlgebraData, M: ModuleActionData) -> ValidationReport:
     n = L.dim
     _index_range(rep, M.d, n, M.dim_h, M.dim_h)
     T = bracket_table(L, M)
-    _report(rep, "morphism", (f"({i},{j};{nn},{p - n})"
-                              for i, j in product(range(1, n + 1), repeat=2)
-                              for nn in range(1, M.dim_h + 1)
-                              for p in jacobiator(T, i, j, n + nn)))
+    rep.record_each("morphism", (f"({i},{j};{nn},{p - n})"
+                                 for i, j in product(range(1, n + 1), repeat=2)
+                                 for nn in range(1, M.dim_h + 1)
+                                 for p in jacobiator(T, i, j, n + nn)))
     return rep
 
 
 def validate_dgla(L: LieAlgebraData, M: ModuleActionData, D: DglaData) -> ValidationReport:
     """Equivariance A o rho(u) = ad_u o A for every basis element u."""
     rep = ValidationReport("dgla")
-    ok = True
-    for m in range(1, L.dim + 1):
-        for j in range(1, M.dim_h + 1):
-            for i in range(1, L.dim + 1):
-                lhs = sum(D.a(i, p) * M.D(m, j, p) for p in range(1, M.dim_h + 1))
-                rhs = sum(L.C(m, l, i) * D.a(l, j) for l in range(1, L.dim + 1))
-                if lhs != rhs:
-                    rep.record("equivariance", False, f"(u{m};v{j}->u{i})")
-                    ok = False
-    if ok:
-        rep.record("equivariance", True)
+    gs, hs = range(1, L.dim + 1), range(1, M.dim_h + 1)
+    rep.record_each("equivariance", (
+        f"(u{m};v{j}->u{i})" for m, j, i in product(gs, hs, gs)
+        if sum(D.a(i, p) * M.D(m, j, p) for p in hs)
+        != sum(L.C(m, l, i) * D.a(l, j) for l in gs)))
     return rep
 
 
@@ -231,14 +210,14 @@ def validate_bialgebra(L: LieAlgebraData, B: BialgebraData) -> ValidationReport:
     rep = ValidationReport("bialgebra")
     n = L.dim
     in_range = _index_range(rep, B.a, n, n, n)
-    _report(rep, "cobracket-antisymmetry", (
+    rep.record_each("cobracket-antisymmetry", (
         f"({k},{i},{j})" for (k, i, j), v in B.a.items()
         if _inside((k, i, j), n, n, n) and B.ab(k, j, i) != -v), in_range)
     T = bracket_table(L, B=B)
     cube = list(product(range(1, n + 1), repeat=3))
-    _report(rep, "co-jacobi", (f"({i},{j},{k};{l - n})" for i, j, k in cube
-                               for l in jacobiator(T, n + i, n + j, n + k)))
-    _report(rep, "cocycle-compatibility", (
+    rep.record_each("co-jacobi", (f"({i},{j},{k};{l - n})" for i, j, k in cube
+                                  for l in jacobiator(T, n + i, n + j, n + k)))
+    rep.record_each("cocycle-compatibility", (
         f"(i={i},j={j},m={m},n={t - n})" for i, j, m in cube
         for t in jacobiator(T, n + i, n + j, m) if t > n))
     return rep
@@ -261,35 +240,24 @@ def validate_quasi(L: LieAlgebraData, Q: QuasiBialgebraData) -> ValidationReport
     chi_bad = [f"({i},{j},{k})" for (i, j, k), v in Q.chi.items()
                if _inside((i, j, k), n, n, n)
                and (Q.x3(j, i, k) != -v or Q.x3(i, k, j) != -v)]
-    _report(rep, "chi-antisymmetry", chi_bad, ok=False)
+    rep.record_each("chi-antisymmetry", chi_bad, ok=False)
     T = bracket_table(L, B=B, chi=Q.chi)
-    _report(rep, "double-jacobi", (
+    rep.record_each("double-jacobi", (
         f"({i - 1},{j - 1},{k - 1})"
         for i, j, k in product(range(1, 2 * n + 1), repeat=3)
         if jacobiator(T, i, j, k)), in_range and not chi_bad)
 
-    ok = True
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if Q.g(i, j) != Q.g(j, i):
-                rep.record("metric-symmetric", False, f"({i},{j})")
-                ok = False
-    r = rank({j: {i: Q.g(i, j) for i in range(1, n + 1) if Q.g(i, j)}
-              for j in range(1, n + 1)})
+    ns = range(1, n + 1)
+    metric = [("metric-symmetric", f"({i},{j})") for i, j in product(ns, repeat=2)
+              if Q.g(i, j) != Q.g(j, i)]
+    r = rank({j: {i: Q.g(i, j) for i in ns if Q.g(i, j)} for j in ns})
     if r != n:
-        rep.record("metric-invertible", False, f"rank {r} < {n}")
-        ok = False
+        metric.append(("metric-invertible", f"rank {r} < {n}"))
     # ad-invariance: c^{ij}_m g_{mk} + c^{ik}_m g_{jm} = 0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                s = sum(L.C(i, j, m) * Q.g(m, k) + L.C(i, k, m) * Q.g(j, m)
-                        for m in range(1, n + 1))
-                if s:
-                    rep.record("metric-invariant", False, f"({i},{j},{k})")
-                    ok = False
-    if ok:
-        rep.record("metric", True)
+    metric += [("metric-invariant", f"({i},{j},{k})")
+               for i, j, k in product(ns, repeat=3)
+               if sum(L.C(i, j, m) * Q.g(m, k) + L.C(i, k, m) * Q.g(j, m) for m in ns)]
+    rep.record_each("metric", metric)
     return rep
 
 

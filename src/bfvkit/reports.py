@@ -1,4 +1,14 @@
-"""Validation and command reports with deterministic rendering."""
+"""Check statuses, the record rule, exit codes and report rendering.
+
+This module owns what a check outcome means.  A check is ``pass``, ``fail``
+or ``undecided`` (a bounded solve that could not tell).  Every command ends
+in one :class:`ValidationReport`, and its exit code is 1 when any check
+failed, else 3 when any is undecided, else 0: fail takes precedence over
+undecided.  :meth:`ValidationReport.lines` is the one rendering rule:
+``title.name=status`` in machine format, with the detail on ``fail`` only
+so that repeated failures stay distinct, and ``title name: status
+[detail]`` in text format, with the detail on every status.
+"""
 
 from __future__ import annotations
 
@@ -33,6 +43,25 @@ class ValidationReport:
     def record_undecided(self, name: str, detail: str = ""):
         self.checks.append(CheckLine(name, UNDECIDED, detail))
 
+    def record_each(self, name: str, failures, ok: bool = True):
+        """Record each failure, or one pass of ``name`` when there is none
+        and ``ok`` holds.
+
+        A failure is a detail, recorded under ``name``, or a ``(name,
+        detail)`` pair, recorded under its own name in the given order.
+        """
+        for failure in failures:
+            fname, detail = failure if isinstance(failure, tuple) else (name, failure)
+            self.record(fname, False, detail)
+            ok = False
+        if ok:
+            self.record(name, True)
+
+    def merge(self, sub: ValidationReport):
+        """Append the checks of ``sub``, each name prefixed with its title."""
+        self.checks.extend(CheckLine(f"{sub.title}.{c.name}", c.status, c.detail)
+                           for c in sub.checks)
+
     @property
     def failures(self):
         return [c for c in self.checks if c.status == FAIL]
@@ -45,10 +74,19 @@ class ValidationReport:
     def passed(self) -> bool:
         return not self.failures and not self.undecided
 
-    def lines(self):
-        for c in self.checks:
-            suffix = f" {c.detail}" if c.detail else ""
-            yield f"{self.title}.{c.name}={c.status}{suffix}"
+    @property
+    def exit_code(self) -> int:
+        """1 when a check failed, else 3 when one is undecided, else 0."""
+        if self.failures:
+            return 1
+        return 3 if self.undecided else 0
 
-    def __str__(self):
-        return "\n".join(self.lines()) or f"{self.title}=pass"
+    def lines(self, fmt: str):
+        """One line per check in ``fmt``, ``"machine"`` or ``"text"``."""
+        for c in self.checks:
+            if fmt == "machine":
+                suffix = f" {c.detail}" if c.status == FAIL and c.detail else ""
+                yield f"{self.title}.{c.name}={c.status}{suffix}"
+            else:
+                suffix = f"  [{c.detail}]" if c.detail else ""
+                yield f"{self.title} {c.name}: {c.status}{suffix}"

