@@ -11,7 +11,8 @@ wall-clock data to stdout either (timing goes to stderr).
 Exit codes: 0 all checks passed, 1 a check failed, 3 a check or a bounded
 solve was inconclusive (undecided, or NotFound), with a failure taking
 precedence over an undecided check; 2 usage or parse error (a document
-file that cannot be read, malformed JSON, a malformed expression).
+file that cannot be read, malformed JSON, a malformed expression, a shape
+mismatch).  The code of an error is set by its exception class alone.
 """
 
 from __future__ import annotations
@@ -50,11 +51,14 @@ def _load_scenario(arg: str):
     return doc, parse_scenario(doc)
 
 
-def _bfv0_setup(doc, scenario):
-    pairs = bfv0_pairs(doc)
-    table = bfv0_table(scenario.n, scenario.dim_g, pairs)
+def _charge(doc, scenario, bfv0: bool):
+    """The degree-one charge, or with ``bfv0`` the degree-zero one on the
+    document's BFV0 table, its J0 carried over by the canonical grammar."""
+    if not bfv0:
+        return build_charge_deg1(scenario)
+    table = bfv0_table(scenario.n, scenario.dim_g, bfv0_pairs(doc))
     J = [parse_expr(table, serialize(j)) for j in scenario.J0]
-    return table, J
+    return build_charge_deg0(scenario.lie, J, table)
 
 
 def _series(scenario, kmax, ansatz_degree) -> ChargeSeries:
@@ -63,13 +67,11 @@ def _series(scenario, kmax, ansatz_degree) -> ChargeSeries:
     return extend_charge(scenario, Q, Pi, kmax, ansatz_degree)
 
 
-def _lagrangian_generators(scenario):
+def _lagrangian_generators(scenario, kinds=(Kind.BASE, Kind.GHOST_G, Kind.ANTIGHOST_H)):
+    """(name, GPoly) of each generator of K of the ``kinds``, by kind and id."""
     table = scenario.table
-    gens = []
-    for kind in (Kind.BASE, Kind.GHOST_G, Kind.ANTIGHOST_H):
-        for gid in table.ids_of_kind(kind):
-            gens.append((table.gen(gid).name, GPoly.gen(table, gid)))
-    return gens
+    return [(table.gen(g).name, GPoly.gen(table, g))
+            for kind in kinds for g in table.ids_of_kind(kind)]
 
 
 def run(command: str, args) -> int:
@@ -95,22 +97,13 @@ def run(command: str, args) -> int:
         report.merge(check_compatibility(scenario))
 
     elif command == "charge":
-        if args.bfv0:
-            table, J = _bfv0_setup(doc, scenario)
-            Q = build_charge_deg0(scenario.lie, J, table)
-        else:
-            Q = build_charge_deg1(scenario)
+        Q = _charge(doc, scenario, args.bfv0)
         values["charge"] = serialize(Q)
         grades = sorted(Q.grade_components())
         values["charge.grades"] = ";".join(f"({g},{d})" for g, d in grades)
 
     elif command == "master":
-        if args.bfv0:
-            table, J = _bfv0_setup(doc, scenario)
-            Q = build_charge_deg0(scenario.lie, J, table)
-        else:
-            Q = build_charge_deg1(scenario)
-        res = master_residual(Q)
+        res = master_residual(_charge(doc, scenario, args.bfv0))
         values["residual"] = serialize(res)
         report.record("master-equation", not res)
 
@@ -135,7 +128,7 @@ def run(command: str, args) -> int:
         tower = BracketTower(series)
         names, gens = zip(*_lagrangian_generators(scenario))
         for name, g in zip(names, gens):
-            values[f"ell1.{name}"] = serialize(tower.ell1(g))
+            values[f"ell1.{name}"] = serialize(tower.l1_image(g))
         for name1, row in zip(names, tower.ell2_table(gens, gens)):
             for name2, val in zip(names, row):
                 if val:
@@ -144,12 +137,10 @@ def run(command: str, args) -> int:
     elif command == "jacobi":
         series = _series(scenario, args.kmax, args.ansatz_degree)
         tower = BracketTower(series)
-        base = scenario.table.ids_of_kind(Kind.BASE)
-        names = [scenario.table.gen(g).name for g in base]
-        residuals = jacobi_residuals(
-            tower, [GPoly.gen(scenario.table, g) for g in base])
+        base = _lagrangian_generators(scenario, [Kind.BASE])
+        residuals = jacobi_residuals(tower, [g for _name, g in base])
         for (i, j, k), r in residuals.items():
-            values[f"jacobi.{names[i]}.{names[j]}.{names[k]}"] = serialize(r)
+            values[f"jacobi.{base[i][0]}.{base[j][0]}.{base[k][0]}"] = serialize(r)
         report.record("homotopy-jacobi", not any(residuals.values()))
 
     elif command == "probe-h0":
@@ -227,12 +218,7 @@ def main(argv=None) -> int:
         return 3
     except BfvError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        # bch takes group-valued scenarios only, and charge/master --bfv0
-        # one J0 entry per g generator: any other is a usage error
-        bfv0 = args.bfv0 and args.command in ("charge", "master")
-        if isinstance(exc, ShapeMismatch) and (args.command == "bch" or bfv0):
-            return 2
-        return 1
+        return 2 if isinstance(exc, ShapeMismatch) else 1
     if args.format == "text":
         print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return code

@@ -73,25 +73,19 @@ def _sparse(entries, arity, key):
     return out
 
 
-def _antisym_complete(table, swap):
+def _complete(table, *perms):
+    """``table`` with, for each entry and each (permutation, sign) of
+    ``perms``, sign times its value at the permuted index, unless given."""
     out = dict(table)
     for idx, v in table.items():
-        mirror = swap(idx)
-        if mirror not in out:
-            out[mirror] = -v
+        for perm, sign in perms:
+            out.setdefault(tuple(idx[p] for p in perm), sign * v)
     return out
 
 
-def _chi_complete(table):
-    out = dict(table)
-    for (i, j, k), v in table.items():
-        base = (i, j, k)
-        for perm in itertools.permutations(range(3)):
-            idx = tuple(base[p] for p in perm)
-            sign = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
-            if idx not in out:
-                out[idx] = sign * v
-    return out
+# every permutation of three indices, with its sign
+_SIGNED_PERMS = [(p, 1 if p in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1)
+                 for p in itertools.permutations(range(3))]
 
 
 def _int(v, key, least=None):
@@ -122,9 +116,8 @@ def parse_scenario(doc: dict) -> Scenario:
     dim_g = _int(lie_doc.get("dim_g", 0), "lie.dim_g", 1)
     dim_h = _int(lie_doc.get("dim_h", 0), "lie.dim_h", 0)
 
-    L = LieAlgebraData(dim_g, _antisym_complete(
-        _sparse(lie_doc.get("c"), 3, "lie.c"),
-        lambda idx: (idx[1], idx[0], idx[2])))
+    L = LieAlgebraData(dim_g, _complete(_sparse(lie_doc.get("c"), 3, "lie.c"),
+                                        ((1, 0, 2), -1)))
 
     module = None
     if dim_h:
@@ -142,9 +135,8 @@ def parse_scenario(doc: dict) -> Scenario:
 
     bialgebra = None
     if "a" in lie_doc:
-        bialgebra = BialgebraData(_antisym_complete(
-            _sparse(lie_doc["a"], 3, "lie.a"),
-            lambda idx: (idx[0], idx[2], idx[1])))
+        bialgebra = BialgebraData(_complete(_sparse(lie_doc["a"], 3, "lie.a"),
+                                            ((0, 2, 1), -1)))
 
     quasi = None
     if "chi" in lie_doc or "metric" in lie_doc:
@@ -153,7 +145,7 @@ def parse_scenario(doc: dict) -> Scenario:
             else _sparse(metric_doc, 2, "lie.metric")
         quasi = QuasiBialgebraData(
             bialgebra or BialgebraData({}),
-            _chi_complete(_sparse(lie_doc.get("chi"), 3, "lie.chi")),
+            _complete(_sparse(lie_doc.get("chi"), 3, "lie.chi"), *_SIGNED_PERMS),
             metric)
 
     table = bfv1_table(n, dim_g, dim_h)

@@ -32,15 +32,26 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import (LiftNotFound, NotBihomogeneous, NotFound, PresetMismatch,
-                     SchemaError, ShapeMismatch)
+from .errors import (LiftNotFound, NotBihomogeneous, NotClosed, NotFound,
+                     PresetMismatch, SchemaError, ShapeMismatch)
 from .generators import Kind
 from .gpoly import (Derivation, GPoly, bracket, derivation_sources,
                     inner_derivation)
+from .liedata import _inside
 from .linalg import EchelonSolver
 
 if TYPE_CHECKING:
     from .scenario import Scenario
+
+
+def _in_range(entries: dict, key, *dims):
+    """The items of ``entries``, every index checked against its range
+    1..dim; an index outside it is a SchemaError of the document ``key``."""
+    for idx in entries:
+        if not _inside(idx, *dims):
+            raise SchemaError(key, "index-range: entry ("
+                              + ",".join(map(str, idx)) + ") is out of range")
+    return entries.items()
 
 
 def _ghost_cubics(table, entries, key, *kinds):
@@ -48,10 +59,7 @@ def _ghost_cubics(table, entries, key, *kinds):
     with every index checked against its kind's range."""
     ids = [table.ids_of_kind(kind) for kind in kinds]
     out = GPoly.zero(table)
-    for idx, v in entries.items():
-        if not all(1 <= i <= len(r) for i, r in zip(idx, ids)):
-            raise SchemaError(key, "index-range: entry ("
-                              + ",".join(map(str, idx)) + ") is out of range")
+    for idx, v in _in_range(entries, key, *map(len, ids)):
         term = GPoly.const(table, v)
         for i, r in zip(idx, ids):
             term = term * GPoly.gen(table, r[i - 1])
@@ -65,10 +73,8 @@ def build_charge_deg0(L, J, table) -> GPoly:
         raise PresetMismatch("build_charge_deg0 requires a BFV0 table")
     if len(J) != L.dim:
         raise ShapeMismatch("one moment component per Lie algebra generator")
-    cg = table.ids_of_kind(Kind.GHOST_G)
-    Q = GPoly.zero(table)
-    for i, Ji in enumerate(J):
-        Q = Q + Ji * GPoly.gen(table, cg[i])
+    Q = sum((Ji * GPoly.gen(table, g) for Ji, g in zip(J, table.ids_of_kind(Kind.GHOST_G))),
+            GPoly.zero(table))
     return Q - Fraction(1, 2) * _ghost_cubics(
         table, L.c, "lie.c", Kind.GHOST_G, Kind.GHOST_G, Kind.ANTIGHOST_G)
 
@@ -88,18 +94,6 @@ def build_charge_deg1(S: Scenario) -> GPoly:
 
 def master_residual(Q: GPoly) -> GPoly:
     return Fraction(1, 2) * bracket(Q, Q)
-
-
-def split_dH_dV(Q: GPoly, F: GPoly):
-    """Split {Q, F} into (delta_H F, delta_V F) for bihomogeneous F.
-
-    delta_V lowers the antighost number by one at fixed ghost number (the
-    Koszul direction); delta_H raises the ghost number at fixed antighost
-    number (the Chevalley-Eilenberg direction).
-    """
-    if len(F.ghost_support()) > 1:
-        raise NotBihomogeneous("input must be (ghost, antighost)-bihomogeneous")
-    return delta_h(Q, F), delta_v(Q, F)
 
 
 def _shift_part(Q: GPoly, shift) -> Derivation:
@@ -251,26 +245,21 @@ def cocycle_lift(S: Scenario, Q: GPoly, ansatz_degree: int = 4) -> GPoly:
     """
     table = S.table
     pi = S.pi
-    candidate = None
+    corr = None
     if S.kind in ("classical_hamiltonian", "group_valued"):
-        corr = GPoly.zero(table)
-        for i in range(1, S.dim_g + 1):
-            corr = corr + S.gen(Kind.ANTIGHOST_G, i) * S.gen(Kind.GHOST_H, i)
-        candidate = pi + corr
+        corr = (S.gen(Kind.ANTIGHOST_G, i) * S.gen(Kind.GHOST_H, i)
+                for i in range(1, S.dim_g + 1))
     elif S.kind == "dgla" and S.dgla is not None:
-        corr = GPoly.zero(table)
-        for (i, j), v in S.dgla.A.items():
-            corr = corr - v * (S.gen(Kind.GHOST_H, i) * S.gen(Kind.ANTIGHOST_G, j))
-        candidate = pi + corr
+        corr = (-(v * (S.gen(Kind.GHOST_H, i) * S.gen(Kind.ANTIGHOST_G, j)))
+                for (i, j), v in S.dgla.A.items())
     elif S.kind in ("bialgebra", "quasi_bialgebra") and S.bialgebra is not None:
         psi = S.constraints[0]
-        corr = GPoly.zero(table)
-        for (j, i, k), v in S.bialgebra.a.items():
-            corr = corr + v * (psi[i - 1] * S.gen(Kind.GHOST_G, j)
-                               * S.gen(Kind.ANTIGHOST_G, k))
-        candidate = pi + corr
-    if candidate is not None and not bracket(Q, candidate):
-        return candidate
+        corr = (v * (psi[i - 1] * S.gen(Kind.GHOST_G, j) * S.gen(Kind.ANTIGHOST_G, k))
+                for (j, i, k), v in _in_range(S.bialgebra.a, "lie.a", *[S.dim_g] * 3))
+    if corr is not None:
+        candidate = pi + sum(corr, GPoly.zero(table))
+        if not bracket(Q, candidate):
+            return candidate
     # generic ansatz: Pi = pi + sum over total-ghost-0 corrections with
     # at least one ghost (so the (0,0) component stays pi).  Function
     # degree 2 bounds the ghost number by 2 + dim h; the base-degree
@@ -305,10 +294,7 @@ class ChargeSeries:
 
     @property
     def total(self) -> GPoly:
-        S = self.Q
-        for t in self.terms:
-            S = S + t
-        return S
+        return sum(self.terms, self.Q)
 
     def term(self, k: int) -> GPoly:
         """Pi^(-k), zero when beyond the computed range."""
@@ -338,15 +324,12 @@ def extend_charge(S: Scenario, Q: GPoly, Pi: GPoly, k_max: int,
     total = Q + Pi
     res, bound = _residual_info(total)
     if res and bound > 0:
-        raise ShapeMismatch(
-            "extend_charge requires {Q, Q} = 0 and {Q, Pi} = 0")
+        raise NotClosed("extend_charge requires {Q, Q} = 0 and {Q, Pi} = 0")
     for k in range(1, k_max + 1):
         if not res:
             break
-        target = GPoly.zero(S.table)
-        for (gh, _fd), part in res.grade_components().items():
-            if gh == -(k - 1):
-                target = target + part
+        target = sum((part for (gh, _fd), part in res.grade_components().items()
+                      if gh == -(k - 1)), GPoly.zero(S.table))
         if not target:
             series.terms.append(GPoly.zero(S.table))
             continue

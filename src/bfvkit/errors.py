@@ -25,6 +25,11 @@ class NotBihomogeneous(BfvError):
     pass
 
 
+class NotClosed(BfvError):
+    """An input that an identity requires to be closed, {Q, Q} = 0 and
+    {Q, Pi} = 0, is not: a failed identity, not a shape error."""
+
+
 class NotInLagrangian(BfvError):
     def __init__(self, token):
         super().__init__(f"generator {token!r} is outside the Lagrangian alphabet")

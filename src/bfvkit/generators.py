@@ -85,15 +85,18 @@ class Generator:
         return self.degree % 2
 
 
+# Degree shift of each preset's bracket: |{F,G}| = |F| + |G| - shift.
+_SHIFT = {"BFV0": 0, "BFV1": 1}
+
+
 class GeneratorTable:
     """Immutable alphabet of graded generators plus bracket pairing data."""
 
     def __init__(self, preset: str, entries: list[Generator], pairing: dict):
-        if preset not in ("BFV0", "BFV1"):
+        if preset not in _SHIFT:
             raise ValueError(f"unknown preset {preset!r}")
         self.preset = preset
-        # Degree shift of the bracket: |{F,G}| = |F| + |G| - shift.
-        self.shift = 1 if preset == "BFV1" else 0
+        self.shift = _SHIFT[preset]
         self.entries = tuple(entries)
         self._by_id = {g.gid: g for g in self.entries}
         self._by_name = {g.name: g for g in self.entries}
@@ -106,8 +109,6 @@ class GeneratorTable:
         self.lagrangian_ids = frozenset(
             g.gid for g in self.entries if g.kind in LAGRANGIAN_KINDS)
         for g in self.entries:
-            if g.parity != g.degree % 2:
-                raise ValueError(f"parity mismatch for {g.name}")
             if g.conjugate is not None:
                 h = self._by_id[g.conjugate]
                 if h.conjugate != g.gid:
@@ -180,17 +181,6 @@ class MonomialCodec:
         self.guard = sum(self.unit[g] << (self.WIDTH - 1) for g in self.even_ids)
         self.base_mask = sum(full[g] for g in table.base_ids)
         self.outside = sum(full[g] for g in full if g not in table.lagrangian_ids)
-
-    def pack(self, mono) -> int:
-        """The key of a tuple form; an exponent past ``CAP`` raises."""
-        evens, odds = mono
-        key = sum(self.unit[g] for g in odds)
-        for g, e in evens:
-            if e > self.CAP:
-                raise ExponentOverflow(f"exponent {e} of {self.table.gen(g).name}"
-                                       f" exceeds the cap {self.CAP}")
-            key += e * self.unit[g]
-        return key
 
     def product(self, factors) -> tuple | None:
         """(key, sign) of the product of the generators ``factors``, (unit,
@@ -266,66 +256,43 @@ class MonomialCodec:
         return total
 
 
-def _antisym_factor(deg_a: int, deg_b: int, shift: int) -> int:
-    # {b, a} = -(-1)^((|a|-s)(|b|-s)) {a, b}
-    return -((-1) ** (((deg_a - shift) * (deg_b - shift)) % 2))
+def _build(preset: str, rows, links) -> GeneratorTable:
+    """The table of ``rows``, (kind, count, degree, ghost, antighost), with
+    ids assigned in row order, in which each (a, b) of ``links``, each a
+    (kind, 0-based index), is a conjugate pair with {a, b} = 1 and the
+    reverse entry {b, a} = -(-1)^((|a|-s)(|b|-s)) fixed by antisymmetry."""
+    shift = _SHIFT[preset]
+    ids, specs = {}, []
+    for kind, count, *grading in rows:
+        for i in range(count):
+            ids[kind, i] = len(specs) + 1
+            specs.append((f"{_TOKEN_PREFIX[kind]}{i + 1}", kind, *grading))
+    conjugate, pairing = {}, {}
+    for a, b in ((ids[x], ids[y]) for x, y in links):
+        conjugate[a], conjugate[b] = b, a
+        pairing[a, b] = 1
+        pairing[b, a] = -(-1) ** ((specs[a - 1][2] - shift)
+                                  * (specs[b - 1][2] - shift) % 2)
+    return GeneratorTable(preset, [Generator(gid, *spec, conjugate=conjugate.get(gid))
+                                   for gid, spec in enumerate(specs, start=1)], pairing)
 
 
-def _pair(pairing, a: Generator, b: Generator, shift: int):
-    """Record {a, b} = +1 and the antisymmetry-forced reverse entry."""
-    pairing[(a.gid, b.gid)] = 1
-    rev = _antisym_factor(a.degree, b.degree, shift)
-    pairing[(b.gid, a.gid)] = rev
+def _links(*kinds):
+    """((kind_a, i), (kind_b, i)) for i < count, per (kind_a, kind_b, count)."""
+    return [((a, i), (b, i)) for a, b, count in kinds for i in range(count)]
 
 
 def bfv1_table(n_base: int, dim_g: int, dim_h: int) -> GeneratorTable:
     """Alphabet for the degree-one phase space with the degree -1 bracket."""
-    entries = []
-    gid = 0
-    ids = {}
-    for kind, count, degree, ghost, antighost in (
+    return _build("BFV1", (
         (Kind.BASE, n_base, 0, 0, 0),
         (Kind.FIBER, n_base, 1, 0, 0),
         (Kind.GHOST_G, dim_g, 1, 1, 0),
         (Kind.GHOST_H, dim_h, 2, 1, 0),
         (Kind.ANTIGHOST_G, dim_g, 0, 0, 1),
         (Kind.ANTIGHOST_H, dim_h, -1, 0, 1),
-    ):
-        for i in range(count):
-            gid += 1
-            name = f"{_TOKEN_PREFIX[kind]}{i + 1}"
-            ids[(kind, i)] = gid
-            entries.append(Generator(gid, name, kind, degree, ghost, antighost))
-
-    def link(kind_a, kind_b, count):
-        for i in range(count):
-            a, b = ids[(kind_a, i)], ids[(kind_b, i)]
-            entries[a - 1] = Generator(
-                a, entries[a - 1].name, kind_a,
-                entries[a - 1].degree, entries[a - 1].ghost,
-                entries[a - 1].antighost, conjugate=b,
-            )
-            entries[b - 1] = Generator(
-                b, entries[b - 1].name, kind_b,
-                entries[b - 1].degree, entries[b - 1].ghost,
-                entries[b - 1].antighost, conjugate=a,
-            )
-
-    link(Kind.FIBER, Kind.BASE, n_base)
-    link(Kind.GHOST_G, Kind.ANTIGHOST_G, dim_g)
-    link(Kind.GHOST_H, Kind.ANTIGHOST_H, dim_h)
-
-    pairing = {}
-    for i in range(n_base):
-        _pair(pairing, entries[ids[(Kind.FIBER, i)] - 1],
-              entries[ids[(Kind.BASE, i)] - 1], 1)
-    for i in range(dim_g):
-        _pair(pairing, entries[ids[(Kind.GHOST_G, i)] - 1],
-              entries[ids[(Kind.ANTIGHOST_G, i)] - 1], 1)
-    for j in range(dim_h):
-        _pair(pairing, entries[ids[(Kind.GHOST_H, j)] - 1],
-              entries[ids[(Kind.ANTIGHOST_H, j)] - 1], 1)
-    return GeneratorTable("BFV1", entries, pairing)
+    ), _links((Kind.FIBER, Kind.BASE, n_base), (Kind.GHOST_G, Kind.ANTIGHOST_G, dim_g),
+              (Kind.GHOST_H, Kind.ANTIGHOST_H, dim_h)))
 
 
 def bfv0_table(n_base: int, dim_g: int, base_pairs=()) -> GeneratorTable:
@@ -335,41 +302,12 @@ def bfv0_table(n_base: int, dim_g: int, base_pairs=()) -> GeneratorTable:
     canonical bracket {x_i, x_j} = 1 (e.g. Darboux pairs (q_a, p_a) on a
     cotangent space).  Base coordinates may appear in at most one pair.
     """
-    entries = []
-    ids = {}
-    gid = 0
-    for kind, count, degree in (
-        (Kind.BASE, n_base, 0),
-        (Kind.GHOST_G, dim_g, 1),
-        (Kind.ANTIGHOST_G, dim_g, -1),
-    ):
-        for i in range(count):
-            gid += 1
-            ghost = 1 if kind == Kind.GHOST_G else 0
-            antighost = 1 if kind == Kind.ANTIGHOST_G else 0
-            ids[(kind, i)] = gid
-            entries.append(Generator(gid, f"{_TOKEN_PREFIX[kind]}{i + 1}",
-                                     kind, degree, ghost, antighost))
-
-    seen = set()
-    for (i, j) in base_pairs:
-        if i in seen or j in seen or i == j:
-            raise ValueError("base coordinates may appear in at most one pair")
-        seen.update((i, j))
-        a, b = ids[(Kind.BASE, i - 1)], ids[(Kind.BASE, j - 1)]
-        entries[a - 1] = Generator(a, entries[a - 1].name, Kind.BASE, 0, 0, 0, conjugate=b)
-        entries[b - 1] = Generator(b, entries[b - 1].name, Kind.BASE, 0, 0, 0, conjugate=a)
-
-    for i in range(dim_g):
-        a, b = ids[(Kind.GHOST_G, i)], ids[(Kind.ANTIGHOST_G, i)]
-        entries[a - 1] = Generator(a, entries[a - 1].name, Kind.GHOST_G, 1, 1, 0, conjugate=b)
-        entries[b - 1] = Generator(b, entries[b - 1].name, Kind.ANTIGHOST_G, -1, 0, 1, conjugate=a)
-
-    pairing = {}
-    for (i, j) in base_pairs:
-        _pair(pairing, entries[ids[(Kind.BASE, i - 1)] - 1],
-              entries[ids[(Kind.BASE, j - 1)] - 1], 0)
-    for i in range(dim_g):
-        _pair(pairing, entries[ids[(Kind.GHOST_G, i)] - 1],
-              entries[ids[(Kind.ANTIGHOST_G, i)] - 1], 0)
-    return GeneratorTable("BFV0", entries, pairing)
+    flat = [i for pair in base_pairs for i in pair]
+    if len(set(flat)) < len(flat):
+        raise ValueError("base coordinates may appear in at most one pair")
+    return _build("BFV0", (
+        (Kind.BASE, n_base, 0, 0, 0),
+        (Kind.GHOST_G, dim_g, 1, 1, 0),
+        (Kind.ANTIGHOST_G, dim_g, -1, 0, 1),
+    ), [((Kind.BASE, i - 1), (Kind.BASE, j - 1)) for i, j in base_pairs]
+       + _links((Kind.GHOST_G, Kind.ANTIGHOST_G, dim_g)))

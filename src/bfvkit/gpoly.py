@@ -185,10 +185,6 @@ class GPoly:
         table.gen(gid)  # raises UnknownGenerator
         return cls._make(table, {table.codec.unit[gid]: 1})
 
-    @classmethod
-    def var(cls, table, name: str) -> "GPoly":
-        return cls.gen(table, table.by_name(name).gid)
-
     # -- ring structure -----------------------------------------------
 
     def _check(self, other: "GPoly"):
@@ -351,41 +347,6 @@ class GPoly:
             return found
 
         return self._cached(side, build)
-
-    def deriv(self, gid: int, side: str = "left") -> "GPoly":
-        """Left or right derivative with respect to one generator."""
-        self.table.gen(gid)  # raises UnknownGenerator
-        return GPoly._make(self.table, dict(self.partials(side).get(gid, {})), self.den)
-
-    def eval_base(self, point: dict) -> "GPoly":
-        """Substitute rational values p/q for base generators (gid -> value):
-        with E the largest exponent of a generator, every term is put over
-        den * q^E, so the sum runs on integers."""
-        codec = self.table.codec
-        point = {g: _ratio(v) for g, v in point.items()}
-        terms = [(m, v, dict(codec.unpack(m)[0])) for m, v in self.num.items()]
-        top = {g: max((ev.get(g, 0) for _m, _v, ev in terms), default=0) for g in point}
-        den, acc = self.den, {}
-        for g, E in top.items():
-            den *= point[g][1] ** E
-        for m, v, ev in terms:
-            for g, E in top.items():
-                p, q = point[g]
-                e = ev.get(g, 0)
-                v *= p ** e * q ** (E - e)
-                m -= e * codec.unit[g]
-            w = acc.get(m, 0) + v
-            if w:
-                acc[m] = w
-            else:
-                acc.pop(m, None)
-        return GPoly._make(self.table, acc, den)
-
-    def const_value(self) -> Fraction:
-        """Value of a generator-free polynomial."""
-        if self.num.keys() - {0}:
-            raise ValueError("polynomial is not constant")
-        return Fraction(self.num.get(0, 0), self.den)
 
     def __str__(self):
         from .grammar import serialize

@@ -131,13 +131,11 @@ class BracketTower:
                 f"{k}-ary bracket vanishes by truncation of the charge series",
                 TruncationWarning, stacklevel=2)
             return GPoly.zero(self.table)
-        out = GPoly.zero(self.table)
         stack = [[]]
         for parts in split:
             stack = [chosen + [p] for chosen in stack for p in parts]
-        for chosen in stack:
-            out = out + self._ell_homogeneous(k, chosen)
-        return restrict_check(out)
+        return restrict_check(sum((self._ell_homogeneous(k, chosen) for chosen in stack),
+                                  GPoly.zero(self.table)))
 
     def _ell_homogeneous(self, k, args):
         if k == 1:
@@ -160,15 +158,6 @@ class BracketTower:
                  for parts in fparts]
         return [[sum((_checked(bracket(h, q)) for h in hs for q in qs),
                      GPoly.zero(self.table)) for qs in gparts] for hs in heads]
-
-    def ell1(self, f):
-        return self.ell(1, [f])
-
-    def ell2(self, f, g):
-        return self.ell(2, [f, g])
-
-    def ell3(self, f, g, h):
-        return self.ell(3, [f, g, h])
 
 
 def jacobi_residuals(tower: BracketTower, fs) -> dict:
@@ -226,11 +215,6 @@ def jacobi_residuals(tower: BracketTower, fs) -> dict:
         rhs = rhs + ell3(fg, pf, l1[k])
         out[i, j, k] = out[i, j, k] - ((-rhs) if pf * ps[k] % 2 else rhs)
     return out
-
-
-def homotopy_jacobi_residual(tower: BracketTower, f, g, h) -> GPoly:
-    """The residual of :func:`jacobi_residuals` on one triple."""
-    return jacobi_residuals(tower, [f, g, h])[0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

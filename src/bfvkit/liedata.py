@@ -261,54 +261,6 @@ def validate_quasi(L: LieAlgebraData, Q: QuasiBialgebraData) -> ValidationReport
     return rep
 
 
-# ---------------------------------------------------------------------------
-# presets
-
-
-def _eps():
-    c = {}
-    for (i, j, k), v in (((1, 2, 3), 1), ((2, 3, 1), 1), ((3, 1, 2), 1)):
-        c[(i, j, k)] = Fraction(v)
-        c[(j, i, k)] = Fraction(-v)
-    return c
-
-
-def preset_lie(name: str) -> LieAlgebraData:
-    if name == "so3":
-        return LieAlgebraData(3, _eps())
-    if name == "sl2":
-        # basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h
-        c = {(1, 2, 2): 2, (2, 1, 2): -2, (1, 3, 3): -2, (3, 1, 3): 2,
-             (2, 3, 1): 1, (3, 2, 1): -1}
-        return LieAlgebraData(3, c)
-    if name == "heisenberg":
-        return LieAlgebraData(3, {(1, 2, 3): 1, (2, 1, 3): -1})
-    if name.startswith("abelian"):
-        n = int(name[7:].strip("()") or 1)
-        return LieAlgebraData(n, {})
-    if name == "aff1":
-        # [e1, e2] = e2
-        return LieAlgebraData(2, {(1, 2, 2): 1, (2, 1, 2): -1})
-    raise ValueError(f"unknown Lie preset {name!r}")
-
-
-def preset_bialgebra(name: str):
-    if name == "aff1":
-        L = preset_lie("aff1")
-        # cobracket delta(e2) = -1/2 e1 ^ e2 (full-sum convention), delta(e1) = 0
-        B = BialgebraData({(2, 1, 2): Fraction(-1, 2), (2, 2, 1): Fraction(1, 2)})
-        return L, B
-    raise ValueError(f"unknown bialgebra preset {name!r}")
-
-
 def adjoint_module(L: LieAlgebraData) -> ModuleActionData:
     """The adjoint action of g on h = g, d^{mi}_p = c^{mi}_p."""
     return ModuleActionData(L.dim, dict(L.c))
-
-
-def coadjoint_module(L: LieAlgebraData) -> ModuleActionData:
-    """The coadjoint action on h = g*, rho(u^m) v_i = -c^{mp}_i v_p."""
-    d = {}
-    for (m, p, i), v in L.c.items():
-        d[(m, i, p)] = d.get((m, i, p), _ZERO) - v
-    return ModuleActionData(L.dim, {k: v for k, v in d.items() if v})

@@ -228,6 +228,8 @@ def connected_blocks(links) -> list:
     return list(blocks.values())
 
 
+# Kept in src/: perfbench's tracer names BlockEchelon.__init__ and crashes
+# when the class is gone, until ROADMAP item 1 mends the tracer.
 class BlockEchelon:
     """Echelon solver split into independent blocks by support connectivity.
 

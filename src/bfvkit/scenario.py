@@ -151,11 +151,9 @@ class Scenario:
         whose delta_V sends b_i to psi_i and B_j to J0_j.  That delta_V,
         compiled once and cached on this GPoly, is the operator of every
         membership solve of the scenario."""
-        K = GPoly.zero(self.table)
-        for kind, gens in zip((Kind.GHOST_G, Kind.GHOST_H), self.constraints):
-            for i, g in enumerate(gens, start=1):
-                K = K + g * self.gen(kind, i)
-        return K
+        return sum((g * self.gen(kind, i) for kind, gens
+                    in zip((Kind.GHOST_G, Kind.GHOST_H), self.constraints)
+                    for i, g in enumerate(gens, start=1)), GPoly.zero(self.table))
 
     # -- generator access ----------------------------------------------
 
@@ -176,10 +174,7 @@ class Scenario:
 
 def _combination(table, terms) -> GPoly:
     """sum v * g over the (v, g) pairs of ``terms``."""
-    out = GPoly.zero(table)
-    for v, g in terms:
-        out = out + v * g
-    return out
+    return sum((v * g for v, g in terms), GPoly.zero(table))
 
 
 def check_equivariance(S: Scenario) -> ValidationReport:
@@ -234,9 +229,7 @@ def ideal_membership(S: Scenario, target: GPoly, bound: int | None = None):
     cof = [GPoly._make(table, {m: -c if P.mono_degree(m) % 2 else c
                                for m, c in dP.get(a, {}).items()}, P.den) for a in ags]
     deg1, deg0 = S.constraints
-    rebuilt = GPoly.zero(table)
-    for h, g in zip(cof, deg1 + deg0):
-        rebuilt = rebuilt + h * g
+    rebuilt = sum((h * g for h, g in zip(cof, deg1 + deg0)), GPoly.zero(table))
     if rebuilt != target or any(h.max_base_degree() > bound for h in cof):
         raise BfvError("ideal membership cofactors failed verification")
     return cof
@@ -249,19 +242,18 @@ def check_compatibility(S: Scenario, bound: int | None = None) -> ValidationRepo
     rep = ValidationReport("compatibility")
     deg1, deg0 = S.constraints
     bound = S.degree_bound if bound is None else bound
+
+    def member(name, br, detail=""):
+        """Record that br is in the ideal, or undecided at the bound."""
+        if br and ideal_membership(S, br, bound) is None:
+            rep.record_undecided(name, f"membership undecided at bound {bound}")
+        else:
+            rep.record(name, True, detail)
+
     names = [f"psi{i+1}" for i in range(len(deg1))] + \
             [f"J0_{j+1}" for j in range(len(deg0))]
     for name, g in zip(names, deg1 + deg0):
-        br = bracket(S.pi, g)
-        if not br:
-            rep.record(f"normalizer.{name}", True)
-            continue
-        cof = ideal_membership(S, br, bound)
-        if cof is None:
-            rep.record_undecided(f"normalizer.{name}",
-                                 f"membership undecided at bound {bound}")
-        else:
-            rep.record(f"normalizer.{name}", True)
+        member(f"normalizer.{name}", bracket(S.pi, g))
     if S.kind in ("bialgebra", "quasi_bialgebra") and S.bialgebra is not None:
         gs = range(1, S.dim_g + 1)
         rep.record_each("cobracket-covariance", (
@@ -276,15 +268,7 @@ def check_compatibility(S: Scenario, bound: int | None = None) -> ValidationRepo
                        "1/2{pi,pi} = chi_M")
         else:
             br = bracket(S.pi, S.pi)
-            if not br:
-                rep.record("weak-master", True, "{pi,pi} = 0")
-            else:
-                cof = ideal_membership(S, br, bound)
-                if cof is None:
-                    rep.record_undecided("weak-master",
-                                         f"membership undecided at bound {bound}")
-                else:
-                    rep.record("weak-master", True, "{pi,pi} in ideal")
+            member("weak-master", br, "{pi,pi} in ideal" if br else "{pi,pi} = 0")
     for key, val in sorted(S.assumptions.items()):
         rep.record(f"assumption.{key}", True, f"recorded={val} (not verified)")
     return rep

@@ -10,6 +10,7 @@ from bfvkit.generators import Kind, bfv1_table
 from bfvkit.gpoly import GPoly
 from bfvkit.homotopy import _k_factors
 from bfvkit.presets import PRESET_NAMES, load_preset
+from oracles import pack
 
 
 @pytest.fixture(scope="session")
@@ -118,7 +119,7 @@ def brute_force_monomials(table, fdeg, ghost, antighost, max_base_degree):
                 evens = [(gid, e) for gid, e in zip(base, vec) if e]
                 evens += [(g.gid, e) for g, e in zip(even, exps) if e]
                 out.append((tuple(sorted(evens)), tuple(sorted(odds))))
-    return tuple(table.codec.pack(m) for m in sorted(out))
+    return tuple(pack(table.codec, m) for m in sorted(out))
 
 
 def k_monomials(table, total_ghost, max_base_degree):

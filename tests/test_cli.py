@@ -206,6 +206,37 @@ def test_out_of_range_constants_are_schema_errors(tmp_path, capsys, where,
         assert f"key '{key}'" in err and entry in err, cmd
 
 
+def test_out_of_range_cobracket_is_a_schema_error(tmp_path, capsys):
+    # the closed-form lift indexed psi with the entry: lift, extend and
+    # probe-h0 died of an IndexError (exit 1, with a traceback)
+    doc = load_preset("quasi-chi")
+    doc["lie"]["a"] = [[1, 2, 5, 1]]
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("lift", "extend", "probe-h0"):
+        assert main([cmd, "--scenario", str(path)]) == 2, cmd
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "key 'lie.a': index-range: entry (1,2,5) is out of range" in captured.err
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc["psi"].pop(), "psi length must equal dim g"),
+    (lambda doc: doc.update(pi="1 * x1 e1"),
+     "pi must be homogeneous of function degree 2")], ids=["two-psi", "pi-degree-1"])
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_shape_mismatch_is_a_usage_error(tmp_path, capsys, change, message, command):
+    # both exited 1 on every command, as if a check had failed
+    doc = load_preset("so3-classical")
+    change(doc)
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: ShapeMismatch: {message}" in captured.err
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_validate_all_presets(capsys, name):
     code, _out = run_cli(capsys, "validate", "--scenario", name,
@@ -547,7 +578,7 @@ def test_brackets_and_jacobi_print_the_per_pair_loops(capsys, name):
 
     from bfvkit.generators import Kind
     from bfvkit.grammar import serialize
-    from bfvkit.homotopy import BracketTower, homotopy_jacobi_residual
+    from bfvkit.homotopy import BracketTower, jacobi_residuals
 
     code, out = run_cli(capsys, "brackets", "--scenario", name,
                         "--format", "machine")
@@ -555,9 +586,9 @@ def test_brackets_and_jacobi_print_the_per_pair_loops(capsys, name):
     scenario = cli._load_scenario(name)[1]
     tower = BracketTower(cli._series(scenario, 2, 4))
     gens = cli._lagrangian_generators(scenario)
-    lines = [f"ell1.{n}={serialize(tower.ell1(g))}" for n, g in gens]
+    lines = [f"ell1.{n}={serialize(tower.ell(1, [g]))}" for n, g in gens]
     lines += [f"ell2.{n1}.{n2}={serialize(v)}" for n1, g1 in gens
-              for n2, g2 in gens if (v := tower.ell2(g1, g2))]
+              for n2, g2 in gens if (v := tower.ell(2, [g1, g2]))]
     assert out.splitlines()[3:] == lines
 
     code, out = run_cli(capsys, "jacobi", "--scenario", name,
@@ -565,7 +596,7 @@ def test_brackets_and_jacobi_print_the_per_pair_loops(capsys, name):
     assert code == 0
     base = gens[:len(scenario.table.ids_of_kind(Kind.BASE))]  # listed first
     lines = [f"jacobi.{a}.{b}.{c}="
-             + serialize(homotopy_jacobi_residual(tower, f, g, h))
+             + serialize(jacobi_residuals(tower, [f, g, h])[0, 1, 2])
              for (a, f), (b, g), (c, h) in combinations(base, 3)]
     assert out.splitlines()[3:] == lines + ["check.homotopy-jacobi=pass"]
 

@@ -11,6 +11,7 @@ from bfvkit.generators import bfv1_table
 from bfvkit.gpoly import GPoly, normalize
 from bfvkit.grammar import parse, serialize
 from conftest import random_homogeneous
+from oracles import var
 
 
 @pytest.fixture
@@ -20,10 +21,10 @@ def table():
 
 def test_golden_forms(table):
     t = table
-    x1 = GPoly.var(t, "x1")
-    e2 = GPoly.var(t, "e2")
-    b1 = GPoly.var(t, "b1")
-    C1 = GPoly.var(t, "C1")
+    x1 = var(t, "x1")
+    e2 = var(t, "e2")
+    b1 = var(t, "b1")
+    C1 = var(t, "C1")
     assert serialize(GPoly.zero(t)) == "0"
     assert serialize(GPoly.const(t, -3)) == "-3"
     assert serialize(x1 * x1 * e2 * 3) == "3 * x1^2 e2"
@@ -33,7 +34,7 @@ def test_golden_forms(table):
 
 def test_parse_simple(table):
     assert parse(table, "1 * e1 e2") == \
-        GPoly.var(table, "e1") * GPoly.var(table, "e2")
+        var(table, "e1") * var(table, "e2")
 
 
 def test_parse_odd_square_normalizes_to_zero(table):

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from bfvkit.liedata import (BialgebraData, DglaData, LieAlgebraData,
                             ModuleActionData, QuasiBialgebraData,
-                            adjoint_module, coadjoint_module, preset_bialgebra,
-                            preset_lie, validate_bialgebra, validate_dgla,
+                            adjoint_module, validate_bialgebra, validate_dgla,
                             validate_lie, validate_module, validate_quasi)
 from bfvkit.linalg import EchelonSolver
 from bfvkit.reports import ValidationReport
+from oracles import coadjoint_module, preset_bialgebra, preset_lie
 
 
 def total_chi(entries):

@@ -48,10 +48,9 @@ def _bad_A(doc):
     doc["lie"]["A"] = [[1, 1, -1], [2, 2, -1], [3, 3, -2]]
 
 
-# a preset edited so that some checks fail, and the forms it runs (the
-# lift of an out-of-range cobracket entry dies of an IndexError)
+# a preset edited so that some checks fail, and the forms it runs
 VARIANTS = {"so3-classical+bad-c": ("so3-classical", _bad_c, FORMS),
-            "quasi-chi+out-of-range": ("quasi-chi", _out_of_range, FORMS[:5]),
+            "quasi-chi+out-of-range": ("quasi-chi", _out_of_range, FORMS),
             "group-valued-so3+swapped-psi": ("group-valued-so3", _swapped_psi,
                                              FORMS),
             "aff1-bialgebra+bad-cobracket": ("aff1-bialgebra", _bad_cobracket,

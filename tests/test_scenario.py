@@ -13,11 +13,12 @@ from bfvkit.errors import (BfvError, NotNearIdentity, RankDeficient,
 from bfvkit.generators import Kind, bfv1_table
 from bfvkit.gpoly import GPoly, bracket
 from bfvkit.grammar import parse, serialize
-from bfvkit.liedata import ModuleActionData, preset_lie
+from bfvkit.liedata import ModuleActionData
 from bfvkit.presets import PRESET_NAMES, load_preset
 from bfvkit.scenario import (Scenario, bch_transport_check,
                              check_compatibility, check_equivariance,
                              group_log_constraints, ideal_membership)
+from oracles import const_value, deriv, eval_base, preset_lie
 
 
 def canonical_bracket(table, f, g, n_half):
@@ -27,7 +28,7 @@ def canonical_bracket(table, f, g, n_half):
     out = GPoly.zero(table)
     for a in range(n_half):
         q, p = base[a], base[a + n_half]
-        out = out + f.deriv(q) * g.deriv(p) - f.deriv(p) * g.deriv(q)
+        out = out + deriv(f, q) * deriv(g, p) - deriv(f, p) * deriv(g, q)
     return out
 
 
@@ -264,7 +265,7 @@ def test_group_log_vanishes_at_reference_point(group_valued_so3):
     base = group_valued_so3.table.ids_of_kind(Kind.BASE)
     origin = {gid: Fraction(0) for gid in base}
     for f in fks:
-        assert not f.eval_base(origin)
+        assert not eval_base(f, origin)
 
 
 def test_group_log_matches_numeric_matrix_log(group_valued_so3):
@@ -285,13 +286,13 @@ def test_group_log_matches_numeric_matrix_log(group_valued_so3):
         phi_num = np.zeros((3, 3))
         for i in range(3):
             for j in range(3):
-                phi_num[i, j] = float(S.phi[i][j].eval_base(point).const_value())
+                phi_num[i, j] = float(const_value(eval_base(S.phi[i][j], point)))
         log_num = logm(phi_num)
         tol = float(sum(v * v for v in pt)) ** 2.5  # |y|^(order+1)
         for k, f in enumerate(fks):
             # <u^k, .> with the orthonormal trace pairing -1/2 tr(L_k .)
             oracle = -0.5 * np.trace(mats[k] @ log_num)
-            got = float(f.eval_base(point).const_value())
+            got = float(const_value(eval_base(f, point)))
             assert abs(got - oracle) < tol
 
 
