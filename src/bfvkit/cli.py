@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from .config import bfv0_pairs, load_document, parse_scenario, scenario_digest
 from .engine import (ChargeSeries, build_charge_deg0, build_charge_deg1,
@@ -184,7 +185,10 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every
+    call of :func:`main` in the process: it holds no state between calls."""
     ap = argparse.ArgumentParser(
         prog="bfvkit",
         description="graded Poisson brackets, BRST charges and homotopy "
@@ -203,8 +207,12 @@ def main(argv=None) -> int:
     ap.add_argument("--format", choices=("text", "machine"), default="text")
     ap.add_argument("--bfv0", action="store_true",
                     help="use the degree-zero preset for charge/master")
+    return ap
+
+
+def main(argv=None) -> int:
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     start = time.monotonic()

@@ -304,11 +304,23 @@ class ChargeSeries:
 
 
 def _residual_info(S_total: GPoly):
+    """1/2 {S, S} and its highest total ghost number (None when it is zero),
+    read off the monomial gradings."""
     res = Fraction(1, 2) * bracket(S_total, S_total)
-    if not res:
-        return res, None
-    bound = max(gh for (gh, _fd) in res.grade_components())
+    grading = S_total.table.codec.grading
+    bound = max((gh - ag for _d, gh, ag in map(grading, res.num)), default=None)
     return res, bound
+
+
+def _total_ghost_part(F: GPoly, total_ghost: int) -> GPoly:
+    """The terms of F of total ghost number ``total_ghost``."""
+    grading = F.table.codec.grading
+    part = {}
+    for m, c in F.num.items():
+        _deg, gh, ag = grading(m)
+        if gh - ag == total_ghost:
+            part[m] = c
+    return GPoly._make(F.table, part, F.den)
 
 
 def extend_charge(S: Scenario, Q: GPoly, Pi: GPoly, k_max: int,
@@ -317,8 +329,9 @@ def extend_charge(S: Scenario, Q: GPoly, Pi: GPoly, k_max: int,
 
     After step k every residual component of total ghost number > -k
     vanishes; the iteration stops early with ``exact`` set when the whole
-    residual is zero.  The stored residual is recomputed from scratch from
-    the returned terms.
+    residual is zero.  The residual is one full 1/2 {S, S} per distinct
+    total: of Q + Pi, then of the total after each nonzero correction, so
+    the stored residual is that of the returned terms.
     """
     series = ChargeSeries(Q=Q, terms=[Pi])
     total = Q + Pi
@@ -328,8 +341,7 @@ def extend_charge(S: Scenario, Q: GPoly, Pi: GPoly, k_max: int,
     for k in range(1, k_max + 1):
         if not res:
             break
-        target = sum((part for (gh, _fd), part in res.grade_components().items()
-                      if gh == -(k - 1)), GPoly.zero(S.table))
+        target = _total_ghost_part(res, -(k - 1))
         if not target:
             series.terms.append(GPoly.zero(S.table))
             continue
@@ -337,9 +349,7 @@ def extend_charge(S: Scenario, Q: GPoly, Pi: GPoly, k_max: int,
                                       total_ghost=-k)
         series.terms.append(correction)
         total = total + correction
-        if k < k_max:
-            res = _residual_info(total)[0]
-    res, bound = _residual_info(series.total)
+        res, bound = _residual_info(total)
     series.residual = res
     series.residual_bound = bound
     series.exact = not res

@@ -396,10 +396,13 @@ def _sum_terms(table: GeneratorTable, terms) -> GPoly:
 
 def bracket(F: GPoly, G: GPoly) -> GPoly:
     """Graded Poisson bracket generated by the table's pairing: one product
-    of packed derivative numerators over ``F.den * G.den``."""
+    of packed derivative numerators over ``F.den * G.den``.  A zero
+    operand gives zero, after the table check, with no derivative built."""
     table = F.table
     if table is not G.table and table != G.table:
         raise TableMismatch("bracket operands use different generator tables")
+    if not F.num or not G.num:
+        return GPoly._make(table, {})
     dF, dG = F.partials("right"), G.partials("left")
     triples = []
     for (a, b), p in table.pairing.items():

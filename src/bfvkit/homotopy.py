@@ -150,14 +150,17 @@ class BracketTower:
 
     def ell2_table(self, fs, gs) -> list:
         """Rows [l_2(f, g) for g in gs] for f in fs, each argument split and
-        checked once and {Pi, f} formed once per homogeneous part of f."""
+        checked once and {Pi, f} formed once per homogeneous part of f.  A
+        zero head gives nothing to its row, so a part of f with {Pi, f} = 0
+        (every part when Pi = 0) is skipped; its arguments are still checked."""
         Pi = self.series.term(0)
         fparts, gparts = self._homogeneous_args(fs), self._homogeneous_args(gs)
         # -(-1)^{f} {Pi, f}: the minus is the classical-limit normalization
-        heads = [[bracket(Pi, p) if p.parity() else -bracket(Pi, p) for p in parts]
+        heads = [[h if p.parity() else -h for p in parts if (h := bracket(Pi, p))]
                  for parts in fparts]
-        return [[sum((_checked(bracket(h, q)) for h in hs for q in qs),
-                     GPoly.zero(self.table)) for qs in gparts] for hs in heads]
+        zero = GPoly.zero(self.table)
+        return [[sum((_checked(bracket(h, q)) for h in hs for q in qs), zero)
+                 for qs in gparts] for hs in heads]
 
 
 def jacobi_residuals(tower: BracketTower, fs) -> dict:

@@ -478,8 +478,29 @@ def _gradient_columns(S: Scenario, fks, point) -> dict:
     return out
 
 
-def group_log_constraints(S: Scenario) -> list:
-    """Pullbacks <u^k, log Phi> truncated at the scenario truncation order.
+def _log_powers(S: Scenario) -> list:
+    """``_powers(N, order)`` of N = Phi - I at the scenario truncation order.
+    Raises NotNearIdentity when Phi differs from the identity at the origin."""
+    order = S.truncation_order
+    N = _log_argument(S, order)
+    for i, row in enumerate(N[1]):
+        for j, entry in enumerate(row):
+            if 0 in entry:
+                raise NotNearIdentity(
+                    f"phi[{i}][{j}] differs from identity at the origin")
+    return _powers(N, order)
+
+
+def _cut(M, order):
+    """The matrix series M truncated at base degree ``order``."""
+    codec, entries, d = M
+    return codec, [[{g: part for g, part in entry.items() if g <= order}
+                    for entry in row] for row in entries], d
+
+
+def group_log_constraints(S: Scenario, powers=None) -> list:
+    """Pullbacks <u^k, log Phi> truncated at the scenario truncation order,
+    from ``powers`` = ``_log_powers(S)`` when the caller has built them.
 
     Raises NotNearIdentity when Phi differs from the identity at the
     origin, and RankDeficient when the constraint differentials fail to
@@ -487,15 +508,8 @@ def group_log_constraints(S: Scenario) -> list:
     """
     if S.kind != "group_valued":
         raise ShapeMismatch("group_log_constraints requires a group_valued scenario")
-    order = S.truncation_order
     table = S.table
-    N = _log_argument(S, order)
-    for i, row in enumerate(N[1]):
-        for j, entry in enumerate(row):
-            if 0 in entry:
-                raise NotNearIdentity(
-                    f"phi[{i}][{j}] differs from identity at the origin")
-    fks = _pair_with_basis(S, _log(_powers(N, order)))
+    fks = _pair_with_basis(S, _log(_log_powers(S) if powers is None else powers))
     base_ids = table.ids_of_kind(Kind.BASE)
     for pt in S.sample_points or [tuple(Fraction(0) for _ in base_ids)]:
         r = rank(_gradient_columns(S, fks, pt))
@@ -526,8 +540,11 @@ def bch_transport_check(S: Scenario, order: int) -> ValidationReport:
         raise ShapeMismatch(f"bch order {order} exceeds the truncation order "
                             f"{S.truncation_order} of the constraints")
     table = S.table
-    N = _log_argument(S, order)
-    powers = _powers(N, order)
+    # one series at the truncation order serves both checks: truncation is
+    # a ring homomorphism, so its powers cut to ``order`` are those at order
+    log_powers = _log_powers(S)
+    powers = [_cut(P, order) for P in log_powers[:max(order, 1)]]
+    N = powers[0]
     nmat = _log(powers)
     bad = set()
     D, mats = _integer_basis(S.basis_matrices)
@@ -543,7 +560,7 @@ def bch_transport_check(S: Scenario, order: int) -> ValidationReport:
     rep.record("log-transport", not bad,
                f"first failing order {min(bad)}" if bad else "")
 
-    fks = group_log_constraints(S)
+    fks = group_log_constraints(S, log_powers)
     gs = range(1, S.dim_g + 1)
 
     def first_failing(i, j):

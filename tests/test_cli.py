@@ -360,6 +360,21 @@ def test_usage_error(capsys):
     assert main(["master"]) == 2  # missing --scenario
 
 
+def test_one_parser_serves_every_call(capsys):
+    # a usage error, --help and a valid command give, one after another in
+    # one process, what each gives as the first call of a fresh process
+    calls = (["extend", "--scenario", "quasi-chi", "--kmax", "-1"], ["--help"],
+             ["charge", "--scenario", "so3-classical", "--format", "machine"])
+    first = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        first.append(run_cli(capsys, *argv))
+    cli._parser.cache_clear()
+    assert [run_cli(capsys, *argv) for argv in calls] == first
+    assert [code for code, _out in first] == [2, 0, 0]
+    assert first[1][1].startswith("usage: bfvkit") and "charge=" in first[2][1]
+
+
 @pytest.mark.parametrize("command, option", [
     ("extend", "--kmax"), ("lift", "--ansatz-degree"),
     ("probe-h0", "--degree"), ("bch", "--order")])

@@ -344,7 +344,8 @@ def _extend_charge_rebracketing(S, Q, Pi, k_max, ansatz_degree):
 
 @pytest.mark.parametrize("k_max", [1, 2, 3])
 def test_extend_charge_brackets_each_total_once(quasi_chi, aff1_bialgebra,
-                                                k_max, monkeypatch):
+                                                group_valued_so3, k_max,
+                                                monkeypatch):
     import bfvkit.engine as engine
 
     real = engine._residual_info
@@ -355,7 +356,7 @@ def test_extend_charge_brackets_each_total_once(quasi_chi, aff1_bialgebra,
         return real(total)
 
     monkeypatch.setattr(engine, "_residual_info", counting)
-    for S in (quasi_chi, aff1_bialgebra):
+    for S in (quasi_chi, aff1_bialgebra, group_valued_so3):
         Q = build_charge_deg1(S)
         Pi = cocycle_lift(S, Q)
         calls.clear()
@@ -366,8 +367,33 @@ def test_extend_charge_brackets_each_total_once(quasi_chi, aff1_bialgebra,
         assert (new.terms, new.residual, new.residual_bound, new.exact) == \
             (old.terms, old.residual, old.residual_bound, old.exact)
         if S is quasi_chi and k_max == 2:
-            assert (old_calls, len(calls)) == (4, 3)
+            assert (old_calls, len(calls)) == (4, 2)
+        if S is group_valued_so3:  # Pi = 0 and {Q, Q} = 0: closed at once
+            assert len(calls) == 1
         assert len(calls) <= old_calls
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+def test_extend_charge_residual_is_that_of_the_total(k_max):
+    # on every preset the stored residual is 1/2 {S, S} of the returned
+    # total, and its bound the highest ghost - antighost of its monomials
+    from bfvkit.config import parse_scenario
+    from bfvkit.presets import PRESET_NAMES, load_preset
+
+    for name in PRESET_NAMES:
+        S = parse_scenario(load_preset(name))
+        Q = build_charge_deg1(S)
+        series = extend_charge(S, Q, cocycle_lift(S, Q), k_max, 4)
+        total = series.total
+        assert series.residual == Fraction(1, 2) * bracket(total, total)
+        t = S.table
+        ghosts = []
+        for m in series.residual.num:
+            evens, odds = t.codec.unpack(m)
+            gens = [(t.gen(g), e) for g, e in evens] + [(t.gen(g), 1) for g in odds]
+            ghosts.append(sum((z.ghost - z.antighost) * e for z, e in gens))
+        assert series.residual_bound == max(ghosts, default=None)
+        assert series.exact == (not ghosts)
 
 
 def test_extend_requires_closed_input(so3_classical, so3_Q):

@@ -178,6 +178,29 @@ def test_bracket_rotation_annihilates_radius():
     assert not bracket(rot, r2)
 
 
+def test_bracket_with_a_zero_operand_is_zero(small_table, rng):
+    # in either slot, a zero on the operand's table in canonical form
+    t = small_table
+    zero = GPoly.zero(t)
+    seen = 0
+    for _ in range(20):
+        F = random_homogeneous(t, rng, rng.randint(-1, 3))
+        seen += bool(F)
+        for val in (bracket(zero, F), bracket(F, zero)):
+            assert val.table is t and (val.num, val.den) == ({}, 1)
+    assert seen
+    assert bracket(zero, zero) == zero
+
+
+def test_bracket_table_mismatch_with_a_zero_operand():
+    # the table check runs before the zero rule
+    t1, t2 = bfv1_table(1, 0, 0), bfv1_table(2, 0, 0)
+    for F, G in ((GPoly.zero(t1), var(t2, "x1")), (var(t1, "x1"), GPoly.zero(t2)),
+                 (GPoly.zero(t1), GPoly.zero(t2))):
+        with pytest.raises(TableMismatch):
+            bracket(F, G)
+
+
 def test_bracket_degree_shift(small_table, rng):
     t = small_table
     for _ in range(80):

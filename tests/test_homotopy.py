@@ -211,25 +211,49 @@ def test_ell_multilinear_split(so3_tower, so3_classical):
         + so3_tower.ell(2, [parse(t, "1 * x2 c1 B1"), g])
 
 
+def nested_l2(Pi, f, g):
+    """l_2(f, g) = -(-1)^{|f|} {{Pi, f}, g}, monomial by monomial of f."""
+    out = GPoly.zero(f.table)
+    for m, c in f.terms.items():
+        val = bracket(bracket(Pi, GPoly(f.table, {m: c})), g)
+        out = out + (val if f.mono_degree(m) % 2 else -val)
+    return out
+
+
 def test_ell2_table_is_the_normalized_nested_bracket(so3_classical, so3_tower,
                                                      rng):
-    # oracle, monomial by monomial: l_2(f, g) = -(-1)^{|f|} {{Pi, f}, g};
     # the rows take inhomogeneous arguments, the table every pair
     t = so3_classical.table
     Pi = so3_tower.series.term(0)
     fs = [rand_lagrangian(t, rng) + rand_lagrangian(t, rng) for _ in range(4)]
     gs = [rand_lagrangian(t, rng) + rand_lagrangian(t, rng) for _ in range(3)]
-
-    def oracle(f, g):
-        out = GPoly.zero(t)
-        for m, c in f.terms.items():
-            val = bracket(bracket(Pi, GPoly(t, {m: c})), g)
-            out = out + (val if f.mono_degree(m) % 2 else -val)
-        return out
-
     table = so3_tower.ell2_table(fs, gs)
-    assert table == [[oracle(f, g) for g in gs] for f in fs]
+    assert table == [[nested_l2(Pi, f, g) for g in gs] for f in fs]
     assert any(v for row in table for v in row)
+
+
+def test_ell2_table_with_zero_pi_still_checks_arguments(group_valued_so3,
+                                                        group_tower, rng):
+    # group-valued-so3 has Pi = 0, so every head is zero and skipped; an
+    # argument outside K still raises, in either slot
+    t = group_valued_so3.table
+    Pi = group_tower.series.term(0)
+    assert not Pi
+    fs = [rand_lagrangian(t, rng) + rand_lagrangian(t, rng) for _ in range(4)]
+    gs = [rand_lagrangian(t, rng) + rand_lagrangian(t, rng) for _ in range(3)]
+    assert group_tower.ell2_table(fs, gs) == \
+        [[nested_l2(Pi, f, g) for g in gs] for f in fs]
+    outside = var(t, "x1") * var(t, "e2")
+    for args in (([outside], gs), (fs, [outside]), (fs, gs + [outside])):
+        with pytest.raises(NotInLagrangian, match="e2"):
+            group_tower.ell2_table(*args)
+
+
+def test_jacobi_vanishes_on_group_valued_so3(group_valued_so3, group_tower, rng):
+    t = group_valued_so3.table
+    fs = [var(t, f"x{i}") for i in (1, 2, 3)] + [rand_lagrangian(t, rng) for _ in range(3)]
+    residuals = jacobi_residuals(group_tower, fs)
+    assert len(residuals) == 20 and not any(residuals.values())
 
 
 # -- homotopy Jacobi ---------------------------------------------------

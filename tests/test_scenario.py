@@ -408,6 +408,25 @@ def test_missing_required_key_rejected():
         parse_scenario({"kind": "bialgebra", "n": 2})
 
 
+def test_log_powers_cut_to_an_order_are_the_powers_at_that_order(group_valued_so3):
+    # bch builds the powers of N = Phi - I once, at the truncation order,
+    # and cuts them to its own order: truncation is a ring homomorphism
+    from bfvkit.scenario import _cut, _log_argument, _log_powers, _powers
+
+    def value(M):
+        _codec, entries, d = M
+        return [[{g: {m: Fraction(c, d) for m, c in part.items()}
+                  for g, part in entry.items()} for entry in row] for row in entries]
+
+    S = group_valued_so3
+    full = _log_powers(S)
+    assert len(full) == S.truncation_order
+    for order in range(S.truncation_order + 1):
+        want = _powers(_log_argument(S, order), order)
+        got = [_cut(P, order) for P in full[:max(order, 1)]]
+        assert [value(P) for P in got] == [value(P) for P in want]
+
+
 def test_bch_transport_so3_order4(group_valued_so3):
     # one order beyond the acceptance setting still passes: the Cayley
     # constraints are exactly equivariant, so only the log-transport
